@@ -9,7 +9,8 @@ the coarser relation "the set of coordinates where the pair is
 sigma(i)-related is in the ultrafilter".
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 import numpy as np
 
@@ -17,11 +18,12 @@ from .algebra import (
     DEFAULT_SIZE_GUARD,
     ProductAlgebra,
     QuotientAlgebra,
+    _coordinate_vectors,
     direct_product,
 )
 from .congruence import Congruence, Partition, format_partition
 from .errors import ValidationError
-from .ultrafilter import UltrafilterD
+from .ultrafilter import UltrafilterD, mask_elements
 
 
 class CongruenceFamily:
@@ -83,23 +85,26 @@ def _check_index_match(count: int, ultra: UltrafilterD) -> None:
         )
 
 
-def _relation_from_factor_matrices(product: ProductAlgebra, matrices, ultra: UltrafilterD) -> np.ndarray:
-    """Pairs of product elements whose per-factor agreement mask is a member.
+def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD) -> list:
+    """Least-member class ids of the relation {(x, y) : {i : x_i ~ y_i} in ultra}.
 
-    matrices[i] is a boolean relation matrix on factor i; the result is the
-    boolean matrix of pairs (x, y) with {i : matrices[i][x_i, y_i]} in the
-    ultrafilter.
+    class_ids[i] gives the least member of each element's class under an
+    equivalence ~ on factor i.  A filter on a finite index set contains
+    the intersection S of all its members and every superset of S, so x
+    and y are related exactly when x_i ~ y_i for every i in S: the class
+    of x is fixed by the classes of its coordinates in S.  That is
+    O(|P| * |S|) work, with no |P| x |P| array.
     """
-    size = product.size
-    base = np.arange(size, dtype=np.int64)
-    masks = np.zeros((size, size), dtype=np.int64)
-    for i, (factor, stride) in enumerate(zip(product.factors, product.strides)):
-        coords = (base // stride) % factor.size
-        rel = np.asarray(matrices[i], dtype=bool)
-        masks |= rel[np.ix_(coords, coords)].astype(np.int64) << i
-    lookup = np.zeros(1 << ultra.n, dtype=bool)
-    lookup[list(ultra.members)] = True
-    return lookup[masks]
+    core = mask_elements(reduce(and_, ultra.members))
+    sizes = [product.factors[i].size for i in core]
+    strides = [product.strides[i] for i in core]
+    # the element whose coordinates in S are the class representatives
+    # and 0 elsewhere: one label per class
+    label = np.zeros(product.size, dtype=np.int64)
+    for i, stride, coords in zip(core, strides, _coordinate_vectors(sizes, strides, product.size)):
+        label += np.asarray(class_ids[i], dtype=np.int64)[coords] * stride
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return first[inverse].tolist()
 
 
 def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> Congruence:
@@ -110,9 +115,8 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
     """
     product = direct_product(factors, max_size)
     _check_index_match(len(product.factors), ultra)
-    matrices = [np.eye(f.size, dtype=bool) for f in product.factors]
-    rel = _relation_from_factor_matrices(product, matrices, ultra)
-    return Congruence(product, Partition.from_matrix(rel))
+    identities = [range(f.size) for f in product.factors]
+    return Congruence(product, _least_member_labels(product, identities, ultra))
 
 
 def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
@@ -124,9 +128,8 @@ def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
     """
     product = direct_product(family.factors, max_size)
     _check_index_match(len(product.factors), ultra)
-    matrices = [c.to_matrix() for c in family.choice]
-    rel = _relation_from_factor_matrices(product, matrices, ultra)
-    return Congruence(product, Partition.from_matrix(rel))
+    class_ids = [c.class_id for c in family.choice]
+    return Congruence(product, _least_member_labels(product, class_ids, ultra))
 
 
 class UltraproductAlgebra(QuotientAlgebra):

@@ -32,6 +32,7 @@ from .algebra import (
     DEFAULT_SIZE_GUARD,
     Algebra,
     ElemMap,
+    _coordinate_vectors,
     direct_product,
     is_homomorphism,
     kernel,
@@ -111,16 +112,19 @@ def _ultra_text(ultra: UltrafilterD) -> list:
 
 def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD,
                                ultra_alg: UltraproductAlgebra | None = None,
-                               max_size: int = DEFAULT_SIZE_GUARD) -> Congruence:
+                               max_size: int = DEFAULT_SIZE_GUARD,
+                               theta: Congruence | None = None) -> Congruence:
     """The family's product congruence carried down to the ultraproduct.
 
     The product congruence always contains almost-everywhere equality, so
     it induces a congruence on the quotient by it; this is the embedding
-    of theorem 1, evaluated at one family.
+    of theorem 1, evaluated at one family.  A caller that already holds
+    the family's product congruence passes it as theta.
     """
     if ultra_alg is None:
         ultra_alg = ultraproduct(family.factors, ultra, max_size)
-    theta = product_congruence(family, ultra, max_size)
+    if theta is None:
+        theta = product_congruence(family, ultra, max_size)
     return induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
 
 
@@ -180,13 +184,43 @@ def diagonal_restriction(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congr
     return Congruence(algebra, Partition.from_matrix(rel))
 
 
+def _member_lookup(ultra: UltrafilterD) -> np.ndarray:
+    """Membership of every index subset, indexed by its bitmask."""
+    lookup = np.zeros(1 << ultra.n, dtype=bool)
+    lookup[list(ultra.members)] = True
+    return lookup
+
+
 def _diagonal_restriction_matrix(algebra: Algebra, sigmas, ultra: UltrafilterD) -> np.ndarray:
     masks = np.zeros((algebra.size, algebra.size), dtype=np.int64)
     for i, s in enumerate(sigmas):
         masks |= s.to_matrix().astype(np.int64) << i
-    lookup = np.zeros(1 << ultra.n, dtype=bool)
-    lookup[list(ultra.members)] = True
-    return lookup[masks]
+    return _member_lookup(ultra)[masks]
+
+
+def _definition_mismatch(family: CongruenceFamily, ultra: UltrafilterD, theta: Congruence):
+    """First (x, r, defined, related) where theta breaks its definition, or None.
+
+    r runs over theta's class representatives; defined says whether
+    {i : x_i and r_i are family[i]-related} is a member, related whether
+    theta relates x and r.  The defined relation is an equivalence, so
+    agreeing on every such pair fixes all of theta.  O(|P| * classes).
+    """
+    prod = theta.algebra
+    cid = np.asarray(theta.class_id, dtype=np.int64)
+    reps = np.flatnonzero(cid == np.arange(cid.size))  # least members
+    sizes = [f.size for f in prod.factors]
+    masks = np.zeros((prod.size, reps.size), dtype=np.int64)
+    for i, coords in enumerate(_coordinate_vectors(sizes, prod.strides, prod.size)):
+        cls = np.asarray(family.choice[i].class_id, dtype=np.int64)[coords]
+        masks |= (cls[:, None] == cls[reps][None, :]).astype(np.int64) << i
+    defined = _member_lookup(ultra)[masks]
+    related = cid[:, None] == reps[None, :]
+    bad = np.argwhere(defined != related)
+    if not bad.size:
+        return None
+    x, k = map(int, bad[0])
+    return x, int(reps[k]), bool(defined[x, k]), bool(related[x, k])
 
 
 def _union_of_meets_matrix(algebra: Algebra, sigmas, ultra: UltrafilterD) -> np.ndarray:
@@ -424,10 +458,22 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
                     break
             if ker_witness:
                 break
+    else:
+        # the kernel and theta can share a fault (both come from the same
+        # labelling), so also hold theta against its definition
+        mismatch = _definition_mismatch(family, ultra, theta)
+        if mismatch is not None:
+            x, r, defined, related = mismatch
+            ker_witness = {
+                "pair": [list(prod.decode(x)), list(prod.decode(r))],
+                "definition_relates": defined,
+                "product_congruence_relates": related,
+            }
     checks.append(Check("kernel-is-product-congruence", ker_witness is None, ker_witness))
 
     # factor the map through ultraproduct / transferred congruence
-    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg, max_size=max_size)
+    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg,
+                                             max_size=max_size, theta=theta)
     inner = quotient(ultra_alg, transferred, max_size)
     induced = [-1] * inner.size
     factor_witness = None

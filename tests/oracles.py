@@ -7,6 +7,8 @@ Slow and only meant for tiny carriers.
 
 from itertools import product as iter_product
 
+import numpy as np
+
 
 def naive_relates(labels, a, b):
     return labels[a] == labels[b]
@@ -80,3 +82,23 @@ def naive_product_relates(factors, sigmas, member_sets, x_coords, y_coords) -> b
         i for i, (s, x, y) in enumerate(zip(sigmas, x_coords, y_coords)) if s.relates(x, y)
     )
     return agree in {frozenset(m) for m in member_sets}
+
+
+def definitional_product_matrix(product, matrices, ultra):
+    """The |P| x |P| boolean matrix of pairs whose agreement set is a member.
+
+    matrices[i] is a boolean relation matrix on factor i; (x, y) is in the
+    result iff {i : matrices[i][x_i, y_i]} is in the ultrafilter.  Built
+    straight from the definition: one agreement bitmask per pair, looked
+    up in a table of every index subset.
+    """
+    size = product.size
+    base = np.arange(size, dtype=np.int64)
+    masks = np.zeros((size, size), dtype=np.int64)
+    for i, (factor, stride) in enumerate(zip(product.factors, product.strides)):
+        coords = (base // stride) % factor.size
+        rel = np.asarray(matrices[i], dtype=bool)
+        masks |= rel[np.ix_(coords, coords)].astype(np.int64) << i
+    lookup = np.zeros(1 << ultra.n, dtype=bool)
+    lookup[list(ultra.members)] = True
+    return lookup[masks]

@@ -1,3 +1,6 @@
+from itertools import product as iter_product
+
+import numpy as np
 import pytest
 
 from ultracon import (
@@ -17,7 +20,7 @@ from ultracon import (
 )
 from ultracon.congruence import parse_partition
 
-from oracles import naive_product_relates
+from oracles import definitional_product_matrix, naive_product_relates
 
 
 def test_family_validation(c3, s2):
@@ -75,6 +78,28 @@ def test_product_congruence_matches_naive_oracle(c3):
                         want = naive_product_relates(
                             [c3, c3], [sa, sb], member_sets, prod.decode(x), prod.decode(y))
                         assert theta.relates(x, y) == want
+
+
+def test_dstar_and_product_congruence_match_definition_on_mixed_product(s2, c3):
+    # three factors of sizes 2, 3, 2: every generator position, uneven radix
+    factors = [s2, c3, s2]
+    prod = direct_product(factors)
+    lattices = [list(con_lattice(f)) for f in factors]
+    identities = [np.eye(f.size, dtype=bool) for f in factors]
+    for i0 in range(3):
+        ultra = principal_ultrafilter(3, i0)
+        member_sets = ultra.members_as_sets()
+        agree = definitional_product_matrix(prod, identities, ultra)
+        assert np.array_equal(dstar(factors, ultra).to_matrix(), agree)
+        for sigmas in iter_product(*lattices):
+            theta = product_congruence(CongruenceFamily(factors, sigmas), ultra)
+            rel = definitional_product_matrix(prod, [s.to_matrix() for s in sigmas], ultra)
+            assert np.array_equal(theta.to_matrix(), rel)
+            for x in range(prod.size):
+                for y in range(prod.size):
+                    want = naive_product_relates(
+                        factors, sigmas, member_sets, prod.decode(x), prod.decode(y))
+                    assert theta.relates(x, y) == want
 
 
 def test_product_congruence_contains_agreement(c3):

@@ -25,6 +25,8 @@ from ultracon import (
     verify_thm2,
     verify_thm3,
 )
+from ultracon import constructions
+from ultracon.algebra import _quotient_cached
 from ultracon.congruence import format_partition, parse_partition
 
 
@@ -129,6 +131,36 @@ def test_verify_thm2_exhaustive_tiny(by_name):
             for sb in lattice:
                 fam = CongruenceFamily([u3, u3], [sa, sb])
                 assert verify_thm2(fam, ultra).passed
+
+
+def test_verify_thm2_fails_on_wrong_generator(c3, monkeypatch):
+    # Labelling on the wrong generator corrupts the ultraproducts, and so
+    # the kernel, exactly as it corrupts the product congruence: only the
+    # definitional half of the kernel check can see it.
+    real = constructions._least_member_labels
+
+    def wrong_generator(product, class_ids, ultra):
+        shifted = principal_ultrafilter(ultra.n, (ultra.principal_index() + 1) % ultra.n)
+        return real(product, class_ids, shifted)
+
+    def clear_caches():
+        constructions._ultraproduct_cached.cache_clear()
+        _quotient_cached.cache_clear()
+
+    fam = CongruenceFamily([c3, c3], [sigma_a(), sigma_b()])
+    clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "_least_member_labels", wrong_generator)
+            report = verify_thm2(fam, principal_ultrafilter(2, 0))
+    finally:
+        clear_caches()
+    checks = {c.name: c for c in report.checks}
+    ker_check = checks["kernel-is-product-congruence"]
+    assert not report.passed
+    assert not ker_check.passed
+    assert len(ker_check.witness["pair"]) == 2
+    assert ker_check.witness["definition_relates"] != ker_check.witness["product_congruence_relates"]
 
 
 def test_natural_embedding_properties(corpus):
