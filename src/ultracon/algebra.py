@@ -332,10 +332,9 @@ class QuotientAlgebra(Algebra):
     __slots__ = ("parent", "congruence", "projection", "class_reps")
 
     def __init__(self, parent: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD):
-        from .congruence import Congruence
+        from .congruence import _as_congruence
 
-        if not isinstance(congruence, Congruence) or congruence.algebra != parent:
-            congruence = Congruence(parent, congruence)
+        congruence = _as_congruence(parent, congruence)
         reps = sorted(set(congruence.class_id))
         if len(reps) > max_size:
             raise SizeGuardError(f"quotient carrier would have {len(reps)} elements, guard is {max_size}")
@@ -366,23 +365,16 @@ def _quotient_cached(parent, congruence, max_size):
 
 def quotient(algebra: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD) -> QuotientAlgebra:
     """Quotient algebra A/theta; theta must be (or validate as) a congruence of A."""
-    from .congruence import Congruence
+    from .congruence import _as_congruence
 
-    if not isinstance(congruence, Congruence) or congruence.algebra != algebra:
-        congruence = Congruence(algebra, congruence)
-    return _quotient_cached(algebra, congruence, max_size)
+    return _quotient_cached(algebra, _as_congruence(algebra, congruence), max_size)
 
 
 def kernel(h: ElemMap):
     """Partition of the source identifying elements with equal image."""
     from .congruence import Partition
 
-    first = {}
-    cid = []
-    for x, y in enumerate(h.image):
-        first.setdefault(y, x)
-        cid.append(first[y])
-    return Partition(cid)
+    return Partition(h.image)
 
 
 def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:

@@ -139,41 +139,38 @@ def _cmd_iso(args) -> int:
     return 1
 
 
-def _load_sigmas(texts, size):
-    return [parse_partition(t, size) for t in texts]
+# flags a theorem does not read; --seed is accepted by all three
+_UNUSED_FLAGS = {"thm1": ("sigma", "algebra"), "thm2": ("algebra",), "thm3": ("factors",)}
 
 
 def _cmd_verify(args) -> int:
-    if args.theorem == "thm1":
-        if not args.factors:
-            raise UltraconError("thm1 needs --factors")
-        factors = [load_algebra(p) for p in args.factors]
-        ultra = parse_ultrafilter(args.ultrafilter, len(factors))
-        report = verify_thm1(factors, ultra, seed=args.seed)
-    elif args.theorem == "thm2":
-        if not args.factors:
-            raise UltraconError("thm2 needs --factors")
-        factors = [load_algebra(p) for p in args.factors]
-        ultra = parse_ultrafilter(args.ultrafilter, len(factors))
-        if len(args.sigma) != len(factors):
-            raise UltraconError(f"thm2 needs one --sigma per factor ({len(factors)}), got {len(args.sigma)}")
-        sigmas = [parse_partition(t, f.size) for t, f in zip(args.sigma, factors)]
-        family = CongruenceFamily(factors, sigmas)
-        report = verify_thm2(family, ultra)
-    else:
+    for flag in _UNUSED_FLAGS[args.theorem]:
+        if getattr(args, flag):
+            raise UltraconError(f"{args.theorem} does not take --{flag}")
+    if args.theorem == "thm3":
         if not args.algebra:
             raise UltraconError("thm3 needs --algebra")
         algebra = load_algebra(args.algebra)
         if not args.sigma:
             raise UltraconError("thm3 needs at least one --sigma")
         ultra = parse_ultrafilter(args.ultrafilter, len(args.sigma))
-        sigmas = _load_sigmas(args.sigma, algebra.size)
+        sigmas = [parse_partition(t, algebra.size) for t in args.sigma]
         report = verify_thm3(algebra, sigmas, ultra)
+    else:
+        if not args.factors:
+            raise UltraconError(f"{args.theorem} needs --factors")
+        factors = [load_algebra(p) for p in args.factors]
+        ultra = parse_ultrafilter(args.ultrafilter, len(factors))
+        if args.theorem == "thm1":
+            report = verify_thm1(factors, ultra, seed=args.seed)
+        else:
+            if len(args.sigma) != len(factors):
+                raise UltraconError(f"thm2 needs one --sigma per factor ({len(factors)}), got {len(args.sigma)}")
+            sigmas = [parse_partition(t, f.size) for t, f in zip(args.sigma, factors)]
+            report = verify_thm2(CongruenceFamily(factors, sigmas), ultra)
     print("\n".join(report.summary_lines()))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_or_print(report.to_json(), args.report)
     return 0 if report.passed else 1
 
 
@@ -204,10 +201,7 @@ def _cmd_sweep(args) -> int:
         print(f"{name}: {status} ({result.instances} instances, {result.families} families)")
         all_passed = all_passed and result.passed
     if args.report:
-        data = {name: result.to_dict() for name, result in results.items()}
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json({name: result.to_dict() for name, result in results.items()}, args.report)
     return 0 if all_passed else 1
 
 

@@ -22,6 +22,14 @@ from .algebra import DEFAULT_SIZE_GUARD, Algebra
 from .errors import SizeGuardError, ValidationError
 
 
+def _find(parent: list, x: int) -> int:
+    """Root of x in the union-find forest parent, halving paths on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Partition:
     """An equivalence relation on {0..size-1} in least-member canonical form.
 
@@ -78,21 +86,14 @@ class Partition:
     def from_pairs(cls, size: int, pairs) -> "Partition":
         """Finest partition relating every given pair (transitive closure)."""
         parent = list(range(size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in pairs:
             for e in (a, b):
                 if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
                     raise ValidationError(f"pair element {e!r} is outside the carrier 0..{size - 1}")
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        return cls([find(e) for e in range(size)])
+        return cls([_find(parent, e) for e in range(size)])
 
     @classmethod
     def from_matrix(cls, matrix) -> "Partition":
@@ -272,6 +273,13 @@ class Congruence(Partition):
         return f"Congruence({self.algebra.name or self.algebra.size}, {format_partition(self)})"
 
 
+def _as_congruence(algebra: Algebra, p) -> Congruence:
+    """p itself when it is already a Congruence of algebra, else p validated as one."""
+    if not isinstance(p, Congruence) or p.algebra != algebra:
+        p = Congruence(algebra, p)
+    return p
+
+
 def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
     """Smallest congruence relating a and b.
 
@@ -284,13 +292,6 @@ def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
         if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
             raise ValidationError(f"generator {e!r} is outside the carrier 0..{n - 1}")
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # one-argument translations: (table, step, base indices with 0 at the slot)
     translations = []
     for sym, arity in algebra.signature.symbols:
@@ -305,7 +306,7 @@ def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
     pending = [(a, b)]
     while pending:
         x, y = pending.pop()
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
             continue
         parent[max(rx, ry)] = min(rx, ry)
@@ -315,9 +316,9 @@ def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
             for base in bases:
                 u = table[base + xoff]
                 v = table[base + yoff]
-                if find(u) != find(v):
+                if _find(parent, u) != _find(parent, v):
                     pending.append((u, v))
-    return Congruence(algebra, Partition([find(e) for e in range(n)]))
+    return Congruence(algebra, Partition([_find(parent, e) for e in range(n)]))
 
 
 class ConLattice:
@@ -364,24 +365,23 @@ class ConLattice:
         """The full congruence (coarsest)."""
         return self.congruences[0]
 
+    def _table(self, op) -> np.ndarray:
+        """Index of op(c_i, c_j) for every pair; op is commutative."""
+        k = len(self.congruences)
+        tbl = np.zeros((k, k), dtype=np.int64)
+        for i in range(k):
+            for j in range(i, k):
+                tbl[i, j] = tbl[j, i] = self.index(op(self.congruences[i], self.congruences[j]))
+        return tbl
+
     def meet_table(self) -> np.ndarray:
         if self._meet is None:
-            k = len(self.congruences)
-            tbl = np.zeros((k, k), dtype=np.int64)
-            for i in range(k):
-                for j in range(i, k):
-                    tbl[i, j] = tbl[j, i] = self.index(self.congruences[i].meet(self.congruences[j]))
-            self._meet = tbl
+            self._meet = self._table(Partition.meet)
         return self._meet
 
     def join_table(self) -> np.ndarray:
         if self._join is None:
-            k = len(self.congruences)
-            tbl = np.zeros((k, k), dtype=np.int64)
-            for i in range(k):
-                for j in range(i, k):
-                    tbl[i, j] = tbl[j, i] = self.index(self.congruences[i].join(self.congruences[j]))
-            self._join = tbl
+            self._join = self._table(Partition.join)
         return self._join
 
     def leq(self, i: int, j: int) -> bool:

@@ -21,7 +21,7 @@ from .algebra import (
     _coordinate_vectors,
     direct_product,
 )
-from .congruence import Congruence, Partition, format_partition
+from .congruence import Congruence, Partition, _as_congruence, format_partition
 from .errors import ValidationError
 from .ultrafilter import UltrafilterD, mask_elements
 
@@ -38,13 +38,8 @@ class CongruenceFamily:
             raise ValidationError(f"{len(choice)} congruences for {len(factors)} factors")
         if not factors:
             raise ValidationError("a congruence family needs at least one factor")
-        checked = []
-        for i, (f, c) in enumerate(zip(factors, choice)):
-            if not isinstance(c, Congruence) or c.algebra != f:
-                c = Congruence(f, c)  # validates against the right factor
-            checked.append(c)
         self.factors = factors
-        self.choice = tuple(checked)
+        self.choice = tuple(_as_congruence(f, c) for f, c in zip(factors, choice))
 
     @classmethod
     def identities(cls, factors) -> "CongruenceFamily":

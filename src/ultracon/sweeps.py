@@ -13,9 +13,17 @@ from itertools import combinations_with_replacement
 import random
 
 from .congruence import con_lattice_of
-from .constructions import CongruenceFamily, ultraproduct
+from .constructions import ultraproduct
 from .iso import find_isomorphism
-from .theorems import EXHAUSTIVE_LIMIT, SAMPLE_SIZE, verify_thm1, verify_thm2, verify_thm3
+from .theorems import (
+    EXHAUSTIVE_LIMIT,
+    SAMPLE_SIZE,
+    _family_from_id,
+    _family_ids,
+    verify_thm1,
+    verify_thm2,
+    verify_thm3,
+)
 from .ultrafilter import enumerate_ultrafilters
 
 DEFAULT_MAX_PRODUCT = 81
@@ -75,21 +83,18 @@ def iter_instances(algebras, index_sizes=DEFAULT_INDEX_SIZES, max_product: int =
                     yield combo, ultra
 
 
-def _family_ids(lattice_sizes, exhaustive_limit: int, sample_size: int, rng: random.Random):
-    total = 1
-    for k in lattice_sizes:
-        total *= k
-    if total <= exhaustive_limit:
-        return list(range(total)), total
-    return sorted(rng.sample(range(total), min(sample_size, total))), total
-
-
-def _family_from_id(fid: int, factors, lattices) -> CongruenceFamily:
-    choice = []
-    for lat in reversed(lattices):
-        fid, idx = divmod(fid, len(lat))
-        choice.append(lat[idx])
-    return CongruenceFamily(factors, tuple(reversed(choice)))
+def _tally(out: SweepResult, detail: dict, reports) -> None:
+    """Add one instance's per-family reports to out, keeping the first 32 failures."""
+    families = bad = 0
+    for report in reports:
+        families += 1
+        if not report.passed:
+            bad += 1
+            if len(out.failures) < 32:
+                out.failures.append(report.to_dict())
+    out.instances += 1
+    out.families += families
+    out.details.append({**detail, "families": families, "failures": bad})
 
 
 def sweep_thm1(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = DEFAULT_MAX_PRODUCT,
@@ -121,22 +126,9 @@ def sweep_thm2(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = 
     for factors, ultra in iter_instances(algebras, index_sizes, max_product):
         lattices = [con_lattice_of(f) for f in factors]
         fam_ids, _ = _family_ids([len(lat) for lat in lattices], exhaustive_limit, sample_size, rng)
-        out.instances += 1
-        bad = 0
-        for fid in fam_ids:
-            family = _family_from_id(fid, factors, lattices)
-            report = verify_thm2(family, ultra)
-            out.families += 1
-            if not report.passed:
-                bad += 1
-                if len(out.failures) < 32:
-                    out.failures.append(report.to_dict())
-        out.details.append({
-            "factors": [f.name for f in factors],
-            "ultrafilter": [list(s) for s in ultra.members_as_sets()],
-            "families": len(fam_ids),
-            "failures": bad,
-        })
+        detail = {"factors": [f.name for f in factors],
+                  "ultrafilter": [list(s) for s in ultra.members_as_sets()]}
+        _tally(out, detail, (verify_thm2(_family_from_id(fid, factors, lattices), ultra) for fid in fam_ids))
     return out
 
 
@@ -152,23 +144,11 @@ def sweep_thm3(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_algebra_size: i
         lattice = con_lattice_of(algebra)
         for count in index_sizes:
             fam_ids, _ = _family_ids([len(lattice)] * count, exhaustive_limit, sample_size, rng)
+            families = [_family_from_id(fid, (algebra,) * count, [lattice] * count) for fid in fam_ids]
             for ultra in enumerate_ultrafilters(count):
-                out.instances += 1
-                bad = 0
-                for fid in fam_ids:
-                    family = _family_from_id(fid, (algebra,) * count, [lattice] * count)
-                    report = verify_thm3(algebra, family.choice, ultra)
-                    out.families += 1
-                    if not report.passed:
-                        bad += 1
-                        if len(out.failures) < 32:
-                            out.failures.append(report.to_dict())
-                out.details.append({
-                    "algebra": algebra.name,
-                    "ultrafilter": [list(s) for s in ultra.members_as_sets()],
-                    "families": len(fam_ids),
-                    "failures": bad,
-                })
+                detail = {"algebra": algebra.name,
+                          "ultrafilter": [list(s) for s in ultra.members_as_sets()]}
+                _tally(out, detail, (verify_thm3(algebra, fam.choice, ultra) for fam in families))
     return out
 
 
@@ -200,13 +180,3 @@ def sweep_principal_collapse(algebras, *, index_sizes=DEFAULT_INDEX_SIZES,
                 "reason": "no isomorphism found between the ultraproduct and the selected factor",
             })
     return out
-
-
-def run_all_sweeps(algebras, *, seed: int = 0, max_product: int = DEFAULT_MAX_PRODUCT) -> dict:
-    """Every sweep; returns {name: SweepResult}."""
-    return {
-        "thm1": sweep_thm1(algebras, max_product=max_product, seed=seed),
-        "thm2": sweep_thm2(algebras, max_product=max_product, seed=seed),
-        "thm3": sweep_thm3(algebras, seed=seed),
-        "principal-collapse": sweep_principal_collapse(algebras, max_product=max_product),
-    }

@@ -41,6 +41,7 @@ from .algebra import (
 from .congruence import (
     Congruence,
     Partition,
+    _as_congruence,
     con_as_algebra,
     con_lattice_of,
     format_partition,
@@ -140,10 +141,9 @@ def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD,
     quots = tuple(quotient(f, c, max_size) for f, c in zip(factors, family.choice))
     quot_prod = direct_product(quots, max_size)
     quot_ultra = ultraproduct(quots, ultra, max_size)
-    base = np.arange(prod.size, dtype=np.int64)
+    sizes = [f.size for f in factors]
     index = np.zeros(prod.size, dtype=np.int64)
-    for i, (factor, q) in enumerate(zip(factors, quots)):
-        coords = (base // prod.strides[i]) % factor.size
+    for i, (q, coords) in enumerate(zip(quots, _coordinate_vectors(sizes, prod.strides, prod.size))):
         proj = np.asarray(q.projection.image, dtype=np.int64)
         index += proj[coords] * quot_prod.strides[i]
     final = np.asarray(quot_ultra.projection.image, dtype=np.int64)[index]
@@ -162,13 +162,31 @@ def natural_embedding(algebra: Algebra, ultra: UltrafilterD,
     return ElemMap(algebra.size, ultra_alg.size, image)
 
 
-def _validated_sigmas(algebra: Algebra, sigmas) -> tuple:
-    out = []
-    for s in sigmas:
-        if not isinstance(s, Congruence) or s.algebra != algebra:
-            s = Congruence(algebra, s)
-        out.append(s)
-    return tuple(out)
+def _validated_sigmas(algebra: Algebra, sigmas, ultra: UltrafilterD) -> tuple:
+    """sigmas as congruences of algebra, exactly one per index of ultra."""
+    sigmas = tuple(_as_congruence(algebra, s) for s in sigmas)
+    if len(sigmas) != ultra.n:
+        raise ValidationError(f"{len(sigmas)} congruences for a {ultra.n}-element index set")
+    return sigmas
+
+
+def _family_ids(lattice_sizes, exhaustive_limit: int, sample_size: int, rng: random.Random):
+    """(family ids to check, family count): every id up to exhaustive_limit, else a seeded sample."""
+    total = 1
+    for k in lattice_sizes:
+        total *= k
+    if total <= exhaustive_limit:
+        return list(range(total)), total
+    return sorted(rng.sample(range(total), min(sample_size, total))), total
+
+
+def _family_from_id(fid: int, factors, lattices) -> CongruenceFamily:
+    """Decode a family id, mixed radix over the lattice sizes with coordinate 0 most significant."""
+    choice = []
+    for lat in reversed(lattices):
+        fid, idx = divmod(fid, len(lat))
+        choice.append(lat[idx])
+    return CongruenceFamily(factors, tuple(reversed(choice)))
 
 
 def diagonal_restriction(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
@@ -177,9 +195,7 @@ def diagonal_restriction(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congr
     This is the product congruence of the family pulled back along the
     diagonal a -> (a, ..., a); one congruence per ultrafilter index.
     """
-    sigmas = _validated_sigmas(algebra, sigmas)
-    if len(sigmas) != ultra.n:
-        raise ValidationError(f"{len(sigmas)} congruences for a {ultra.n}-element index set")
+    sigmas = _validated_sigmas(algebra, sigmas, ultra)
     rel = _diagonal_restriction_matrix(algebra, sigmas, ultra)
     return Congruence(algebra, Partition.from_matrix(rel))
 
@@ -240,17 +256,13 @@ def union_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Partition:
     equivalence; if it is not (it always is, that is theorem 3's content),
     ValidationError escapes from the matrix conversion.
     """
-    sigmas = _validated_sigmas(algebra, sigmas)
-    if len(sigmas) != ultra.n:
-        raise ValidationError(f"{len(sigmas)} congruences for a {ultra.n}-element index set")
+    sigmas = _validated_sigmas(algebra, sigmas, ultra)
     return Partition.from_matrix(_union_of_meets_matrix(algebra, sigmas, ultra))
 
 
 def join_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
     """Congruence join over ultrafilter members of the member-wise meets."""
-    sigmas = _validated_sigmas(algebra, sigmas)
-    if len(sigmas) != ultra.n:
-        raise ValidationError(f"{len(sigmas)} congruences for a {ultra.n}-element index set")
+    sigmas = _validated_sigmas(algebra, sigmas, ultra)
     parts = []
     for member in ultra.members:
         meet = None
@@ -280,27 +292,21 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     con_algs = tuple(con_as_algebra(lat) for lat in lattices)
     fam_prod = direct_product(con_algs, max_size)
     fam_ultra = ultraproduct(con_algs, ultra, max_size)
-    total = fam_prod.size
-    exhaustive = total <= exhaustive_limit
     rng = random.Random(seed)
-
-    def family_of(fid: int) -> CongruenceFamily:
-        coords = fam_prod.decode(fid)
-        return CongruenceFamily(factors, [lattices[i][c] for i, c in enumerate(coords)])
+    fam_ids, total = _family_ids([len(lat) for lat in lattices], exhaustive_limit, sample_size, rng)
+    exhaustive = total <= exhaustive_limit
 
     image_cache: dict = {}
 
     def image_of(fid: int) -> Congruence:
         got = image_cache.get(fid)
         if got is None:
-            got = congruence_on_ultraproduct(family_of(fid), ultra, ultra_alg=ultra_alg, max_size=max_size)
+            got = congruence_on_ultraproduct(_family_from_id(fid, factors, lattices), ultra,
+                                             ultra_alg=ultra_alg, max_size=max_size)
             image_cache[fid] = got
         return got
 
-    if exhaustive:
-        fam_ids = list(range(total))
-    else:
-        fam_ids = sorted(rng.sample(range(total), min(sample_size, total)))
+    if not exhaustive:
         # make sure each sampled family can be compared with its class twin
         fam_ids = sorted(set(fam_ids) | {fam_ultra.class_reps[fam_ultra.projection[s]] for s in fam_ids})
     for fid in fam_ids:
@@ -318,8 +324,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
         for fid in members[1:]:
             if image_of(fid) != image_of(rep):
                 wd_witness = {
-                    "family_a": _family_text(family_of(rep)),
-                    "family_b": _family_text(family_of(fid)),
+                    "family_a": _family_text(_family_from_id(rep, factors, lattices)),
+                    "family_b": _family_text(_family_from_id(fid, factors, lattices)),
                     "image_a": format_partition(image_of(rep)),
                     "image_b": format_partition(image_of(fid)),
                 }
@@ -336,8 +342,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
         if img in seen_image and seen_image[img] != cls:
             other = by_class[seen_image[img]][0]
             inj_witness = {
-                "family_a": _family_text(family_of(other)),
-                "family_b": _family_text(family_of(members[0])),
+                "family_a": _family_text(_family_from_id(other, factors, lattices)),
+                "family_b": _family_text(_family_from_id(members[0], factors, lattices)),
                 "shared_image": format_partition(image_of(members[0])),
             }
             break
@@ -372,8 +378,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
             flat = int(bad[0])
             s, t = divmod(flat, total)
             meet_witness = {
-                "family_a": _family_text(family_of(s)),
-                "family_b": _family_text(family_of(t)),
+                "family_a": _family_text(_family_from_id(s, factors, lattices)),
+                "family_b": _family_text(_family_from_id(t, factors, lattices)),
                 "image_of_meet": format_partition(image_of(int(fam_meet[flat]))),
                 "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
             }
@@ -385,8 +391,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
             mid = fam_prod.apply(op, (s, t))
             if image_of(mid) != image_of(s).meet(image_of(t)):
                 meet_witness = {
-                    "family_a": _family_text(family_of(s)),
-                    "family_b": _family_text(family_of(t)),
+                    "family_a": _family_text(_family_from_id(s, factors, lattices)),
+                    "family_b": _family_text(_family_from_id(t, factors, lattices)),
                     "image_of_meet": format_partition(image_of(mid)),
                     "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
                 }
@@ -399,10 +405,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     reps = sorted(members[0] for members in by_class.values())[:64]
     for i, s in enumerate(reps):
         for t in reps[i:]:
-            jid = 0
             cs, ct = fam_prod.decode(s), fam_prod.decode(t)
-            for pos in range(len(factors)):
-                jid += int(lattices[pos].join_table()[cs[pos], ct[pos]]) * fam_prod.strides[pos]
+            jid = fam_prod.encode(int(lat.join_table()[a, b]) for lat, a, b in zip(lattices, cs, ct))
             if image_of(jid) != image_of(s).join(image_of(t)):
                 join_ok = False
                 join_bad += 1
@@ -516,9 +520,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
 def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD, *,
                 max_size: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
     """Check the ultrapower-restriction theorem on one family."""
-    sigmas = _validated_sigmas(algebra, sigmas)
-    if len(sigmas) != ultra.n:
-        raise ValidationError(f"{len(sigmas)} congruences for a {ultra.n}-element index set")
+    sigmas = _validated_sigmas(algebra, sigmas, ultra)
     checks = []
 
     restr_matrix = _diagonal_restriction_matrix(algebra, sigmas, ultra)

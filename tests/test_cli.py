@@ -140,6 +140,21 @@ def test_verify_argument_errors(files, capsys):
                  "--ultrafilter", "principal:0"]) == 2
 
 
+@pytest.mark.parametrize("theorem, extra, flag", [
+    ("thm1", ["--factors", "C3", "C3", "--sigma", "[[0,1],[2]]"], "--sigma"),
+    ("thm1", ["--factors", "C3", "C3", "--algebra", "C3"], "--algebra"),
+    ("thm2", ["--factors", "C3", "C3", "--sigma", "[[0,1],[2]]", "--sigma", "[[0],[1,2]]",
+              "--algebra", "C3"], "--algebra"),
+    ("thm3", ["--algebra", "C3", "--sigma", "[[0,1],[2]]", "--sigma", "[[0],[1,2]]",
+              "--factors", "C3"], "--factors"),
+])
+def test_verify_rejects_flags_the_theorem_does_not_read(theorem, extra, flag, files, capsys):
+    argv = ["verify", theorem, "--ultrafilter", "principal:0", "--seed", "11"]
+    argv += [files.get(a, a) for a in extra]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["con", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

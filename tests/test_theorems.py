@@ -19,6 +19,7 @@ from ultracon import (
     natural_embedding,
     principal_ultrafilter,
     product_congruence,
+    quotient,
     ultraproduct,
     union_of_meets,
     verify_thm1,
@@ -240,6 +241,30 @@ def test_verify_thm3_exhaustive_small(c3, s2):
 def test_verify_thm3_rejects_wrong_family_size(c3):
     with pytest.raises(ValidationError):
         verify_thm3(c3, [sigma_a()], principal_ultrafilter(2, 0))
+
+
+def family_over(algebra, sigmas, ultra):
+    return CongruenceFamily((algebra,) * ultra.n, sigmas)
+
+
+def quotient_by_last(algebra, sigmas, ultra):
+    return quotient(algebra, sigmas[-1])
+
+
+SIGMA_TAKERS = [diagonal_restriction, union_of_meets, join_of_meets, verify_thm3, family_over]
+
+
+@pytest.mark.parametrize("take", SIGMA_TAKERS, ids=lambda f: f.__name__)
+def test_wrong_family_length_is_rejected(take, c3):
+    with pytest.raises(ValidationError, match="congruences for"):
+        take(c3, [sigma_a()], principal_ultrafilter(2, 0))
+
+
+@pytest.mark.parametrize("take", SIGMA_TAKERS + [quotient_by_last], ids=lambda f: f.__name__)
+def test_non_congruence_is_rejected(take, c3):
+    bad = parse_partition("[[0,2],[1]]", 3)
+    with pytest.raises(ValidationError, match="not a congruence"):
+        take(c3, [sigma_a(), bad], principal_ultrafilter(2, 0))
 
 
 def test_reports_are_json_stable(c3):
