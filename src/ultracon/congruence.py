@@ -30,6 +30,18 @@ def _find(parent: list, x: int) -> int:
     return x
 
 
+def _roots(parent: list) -> list:
+    """Every element's root, for a forest with parent[x] <= x throughout.
+
+    Unions that hang the larger root under the smaller keep that order, so
+    one ascending pass resolves each element through its already-resolved
+    parent, and the roots are the least members of their classes.
+    """
+    for e in range(len(parent)):
+        parent[e] = parent[parent[e]]
+    return parent
+
+
 class Partition:
     """An equivalence relation on {0..size-1} in least-member canonical form.
 
@@ -93,7 +105,7 @@ class Partition:
             ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        return cls([_find(parent, e) for e in range(size)])
+        return cls(_roots(parent))
 
     @classmethod
     def from_matrix(cls, matrix) -> "Partition":
@@ -155,9 +167,15 @@ class Partition:
         """Finest common coarsening: transitive closure of the union."""
         if self.size != other.size:
             raise ValidationError(f"partition sizes differ: {self.size} vs {other.size}")
-        pairs = [(e, self.class_id[e]) for e in range(self.size)]
-        pairs += [(e, other.class_id[e]) for e in range(self.size)]
-        return Partition.from_pairs(self.size, pairs)
+        # least-member class ids are already a union-find forest whose
+        # roots are the least members; union other's classes into it
+        parent = list(self.class_id)
+        for e, r in enumerate(other.class_id):
+            if r != e:
+                ra, rb = _find(parent, e), _find(parent, r)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        return Partition(_roots(parent))
 
     __and__ = meet
     __or__ = join
@@ -280,45 +298,61 @@ def _as_congruence(algebra: Algebra, p) -> Congruence:
     return p
 
 
+def _translations(algebra: Algebra) -> np.ndarray:
+    """Every one-argument translation of every operation, as columns.
+
+    Row x, column t holds t(x): for each symbol and argument position, one
+    (n, n**(arity-1)) block whose columns fix the other arguments, side by
+    side in signature order.
+    """
+    n = algebra.size
+    blocks = [np.zeros((n, 0), dtype=np.int64)]  # a signature of constants has none
+    for sym, arity in algebra.signature.symbols:
+        if arity == 0:
+            continue
+        table = algebra.table_array(sym).reshape((n,) * arity)
+        for pos in range(arity):
+            blocks.append(np.moveaxis(table, pos, 0).reshape(n, -1))
+    return np.concatenate(blocks, axis=1)
+
+
+def _principal_labels(rows: np.ndarray, a: int, b: int) -> list:
+    """Least-member class ids of Cg(a, b) under the translations in rows.
+
+    rows is _translations(algebra).  Fixpoint over the labels: a partition
+    is respected iff each element's row of classes equals its class
+    representative's row, so union every pair of classes where the two
+    rows differ and look again.  Every pass merges classes, so there are
+    at most n passes.
+    """
+    n = len(rows)
+    parent = list(range(n))
+    parent[max(a, b)] = min(a, b)
+    while True:
+        lab = np.asarray(parent)
+        u = lab[rows]
+        v = u[lab]
+        diff = u != v
+        if not diff.any():
+            return parent
+        for code in set((u[diff] * n + v[diff]).tolist()):
+            ra, rb = _find(parent, code // n), _find(parent, code % n)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+        parent = _roots(parent)
+
+
 def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
     """Smallest congruence relating a and b.
 
-    Worklist closure: union the pair, then push its images under every
-    one-argument translation of every operation until stable.  Polynomial
-    in the carrier size for a fixed signature.
+    Closes {a, b} under every one-argument translation of every operation,
+    in a few numpy passes over the translation table (_principal_labels).
     """
     n = algebra.size
     for e in (a, b):
         if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
             raise ValidationError(f"generator {e!r} is outside the carrier 0..{n - 1}")
-    parent = list(range(n))
-    # one-argument translations: (table, step, base indices with 0 at the slot)
-    translations = []
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        table = algebra.table(sym)
-        for pos in range(arity):
-            step = n ** (arity - 1 - pos)
-            bases = tuple(flat for flat in range(n**arity) if (flat // step) % n == 0)
-            translations.append((table, step, bases))
-
-    pending = [(a, b)]
-    while pending:
-        x, y = pending.pop()
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for table, step, bases in translations:
-            xoff = x * step
-            yoff = y * step
-            for base in bases:
-                u = table[base + xoff]
-                v = table[base + yoff]
-                if _find(parent, u) != _find(parent, v):
-                    pending.append((u, v))
-    return Congruence(algebra, Partition([_find(parent, e) for e in range(n)]))
+    return Congruence(algebra, _principal_labels(_translations(algebra), a, b))
 
 
 class ConLattice:
@@ -389,44 +423,51 @@ class ConLattice:
         return self.congruences[i].refines(self.congruences[j])
 
     def cover_pairs(self) -> list:
-        """Hasse diagram edges (lower, upper) by index."""
-        k = len(self.congruences)
-        below = [[self.leq(i, j) and i != j for j in range(k)] for i in range(k)]
-        covers = []
-        for i in range(k):
-            for j in range(k):
-                if below[i][j] and not any(below[i][m] and below[m][j] for m in range(k)):
-                    covers.append((i, j))
-        return covers
+        """Hasse diagram edges (lower, upper) by index, in row-major order."""
+        ids = np.array([c.class_id for c in self.congruences], dtype=np.int64)
+        # leq[i, j]: c_i refines c_j, i.e. c_j sends each element and its
+        # c_i-class representative to the same class
+        leq = np.array([(row[ids] == row).all(axis=1) for row in ids]).T
+        below = leq & ~np.eye(len(ids), dtype=bool)
+        # count the m strictly between i and j; a float32 product runs in
+        # BLAS (a boolean one does not) and counts below 2**24 are exact
+        strict = below.astype(np.float32)
+        covers = below & (strict @ strict == 0)
+        return [(int(i), int(j)) for i, j in np.argwhere(covers)]
 
     def __repr__(self) -> str:
         return f"<ConLattice of {self.algebra.name or self.algebra.size}: {len(self)} congruences>"
 
 
 def con_lattice(algebra: Algebra, max_size: int = DEFAULT_SIZE_GUARD) -> ConLattice:
-    """Every congruence: principal congruences closed under join.
+    """Every congruence: the identity closed under joins with principal ones.
 
-    Join-irreducible congruences are principal, so closing the principal
-    ones (plus the identity) under binary join reaches the whole lattice
-    without touching all Bell(n) partitions.
+    Every congruence is the join of the principal congruences Cg(a, b) of
+    its related pairs, so it suffices to join each congruence found with
+    the distinct principal congruences not already below it (R. Freese,
+    Computing congruences efficiently, Algebra Universalis 59, 2008).
     """
     if algebra.size > max_size:
         raise SizeGuardError(f"carrier has {algebra.size} elements, guard is {max_size}")
     n = algebra.size
-    seen = {}
-    start = [Partition.identity(n)]
+    rows = _translations(algebra)
+    gens = {}
     for a in range(n):
         for b in range(a + 1, n):
-            start.append(principal_congruence(algebra, a, b))
-    queue = []
-    for p in start:
-        if p.class_id not in seen:
-            seen[p.class_id] = p
-            queue.append(p)
+            p = Partition(_principal_labels(rows, a, b))
+            gens.setdefault(p.class_id, p)
+    gen_ids = np.array(list(gens), dtype=np.int64).reshape(len(gens), n)
+    generators = list(gens.values())
+    bottom = Partition.identity(n)
+    seen = {bottom.class_id: bottom, **gens}
+    queue = list(seen.values())
     while queue:
         p = queue.pop()
-        for q in list(seen.values()):
-            j = p.join(q)
+        cid = np.asarray(p.class_id)
+        # generator g is below p iff p sends each element and its g-class
+        # representative to the same class
+        for k in np.flatnonzero((cid[gen_ids] != cid).any(axis=1)).tolist():
+            j = p.join(generators[k])
             if j.class_id not in seen:
                 seen[j.class_id] = j
                 queue.append(j)

@@ -102,3 +102,17 @@ def definitional_product_matrix(product, matrices, ultra):
     lookup = np.zeros(1 << ultra.n, dtype=bool)
     lookup[list(ultra.members)] = True
     return lookup[masks]
+
+
+def naive_cover_pairs(partitions):
+    """Hasse edges (lower, upper) by index, ordered by relation containment."""
+    rels = [relation_matrix(p) for p in partitions]
+    n = len(rels[0])
+    k = len(rels)
+
+    def contained(r, s):
+        return all(s[a][b] for a in range(n) for b in range(n) if r[a][b])
+
+    below = [[i != j and contained(rels[i], rels[j]) for j in range(k)] for i in range(k)]
+    return [(i, j) for i in range(k) for j in range(k)
+            if below[i][j] and not any(below[i][m] and below[m][j] for m in range(k))]

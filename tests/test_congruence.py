@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ultracon import (
@@ -9,16 +10,19 @@ from ultracon import (
     con_lattice,
     con_lattice_bruteforce,
     con_lattice_dot,
+    direct_product,
     find_isomorphism,
     is_congruence,
     make_algebra,
     parse_partition,
     principal_congruence,
 )
+from ultracon import congruence
 from ultracon.congruence import format_partition
 
 from oracles import (
     matrix_to_blocks,
+    naive_cover_pairs,
     naive_is_congruence,
     naive_join_matrix,
     naive_meet_matrix,
@@ -175,6 +179,29 @@ def test_con_lattice_matches_bruteforce_small(c3, by_name):
         assert fast == slow
 
 
+def test_con_lattice_counts_beyond_bruteforce(by_name):
+    # Congruences of an elementary abelian group are its subgroups:
+    # 374 in Z2^5 and 28 in Z3^3, past the 8-element brute-force guard.
+    assert len(con_lattice(direct_product([by_name["Z2"]] * 5))) == 374
+    assert len(con_lattice(direct_product([by_name["Z3"]] * 3))) == 28
+
+
+def test_broken_translations_fail_validation(monkeypatch, by_name):
+    # con_lattice trusts its principal closure only as far as the final
+    # Congruence validation; a closure missing translations must not pass.
+    translations = congruence._translations
+    monkeypatch.setattr(congruence, "_translations",
+                        lambda alg: np.zeros((alg.size, 0), dtype=np.int64))
+    with pytest.raises(ValidationError, match="not a congruence"):
+        con_lattice(by_name["C3"])
+    # keep only the first argument position of S3's one binary operation
+    # (the first n columns); S3 is not commutative, and closing under
+    # multiplication on one side alone gives cosets of a non-normal subgroup
+    monkeypatch.setattr(congruence, "_translations", lambda alg: translations(alg)[:, :alg.size])
+    with pytest.raises(ValidationError, match="not a congruence"):
+        con_lattice(by_name["S3"])
+
+
 def test_frozen_congruence_lattices(by_name):
     def texts(name):
         return [format_partition(c) for c in con_lattice(by_name[name])]
@@ -243,6 +270,12 @@ def test_con_as_algebra_shapes(c3, s2):
     # (the top, index 0) before the identity, so meet(0, 1) = 1
     semi2 = con_as_algebra(con_lattice(s2))
     assert semi2.tables["meet"] == (0, 1, 1, 1)
+
+
+def test_cover_pairs_match_naive_oracle(by_name):
+    for factors in (["Z2"] * 4, ["C4", "S2"], ["B22", "S2"]):
+        lattice = con_lattice(direct_product([by_name[f] for f in factors]))
+        assert lattice.cover_pairs() == naive_cover_pairs(list(lattice)), factors
 
 
 def test_con_lattice_dot_output(c3):

@@ -1,0 +1,60 @@
+"""Property tests: the congruence layer against brute force on random algebras."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ultracon import (
+    Partition,
+    con_lattice,
+    con_lattice_bruteforce,
+    make_algebra,
+    principal_congruence,
+)
+
+from oracles import matrix_to_blocks, naive_join_matrix, relation_matrix
+
+# fixed examples keep the suite reproducible and inside its time budget
+PROPERTY = settings(max_examples=250, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def algebras(draw):
+    """Carriers of 1-4 elements, one to three operations of arity 0-3."""
+    n = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    signature = [(f"f{i}", k) for i, k in enumerate(arities)]
+    cells = st.integers(0, n - 1)
+    tables = {sym: draw(st.lists(cells, min_size=n**k, max_size=n**k)) for sym, k in signature}
+    return make_algebra(signature, n, tables)
+
+
+@st.composite
+def labelling_pairs(draw):
+    n = draw(st.integers(1, 8))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return draw(labels), draw(labels)
+
+
+@PROPERTY
+@given(algebras())
+def test_con_lattice_equals_bruteforce(algebra):
+    assert list(con_lattice(algebra)) == list(con_lattice_bruteforce(algebra))
+
+
+@PROPERTY
+@given(algebras())
+def test_principal_congruence_is_meet_of_congruences_relating_the_pair(algebra):
+    n = algebra.size
+    brute = list(con_lattice_bruteforce(algebra))
+    for a in range(n):
+        for b in range(n):
+            thetas = [t for t in brute if t.relates(a, b)]
+            expected = [[all(t.relates(x, y) for t in thetas) for y in range(n)] for x in range(n)]
+            assert relation_matrix(principal_congruence(algebra, a, b)) == expected, (a, b)
+
+
+@PROPERTY
+@given(labelling_pairs())
+def test_join_matches_naive_closure(labels):
+    p, q = Partition(labels[0]), Partition(labels[1])
+    assert p.join(q).blocks() == matrix_to_blocks(naive_join_matrix(p, q))
