@@ -1,9 +1,11 @@
 """Finite algebras as flat operation tables.
 
 An algebra here is a carrier {0, ..., size-1} together with one total
-operation table per symbol of its signature.  Tables are flat tuples in
-row-major order with the FIRST argument most significant: the table index
-of (a1, ..., ak) on a carrier of size n is sum(aj * n**(k-j)).
+operation table per symbol of its signature.  Tables are stored as flat,
+read-only int64 arrays in row-major order with the FIRST argument most
+significant: the table index of (a1, ..., ak) on a carrier of size n is
+sum(aj * n**(k-j)).  ``Algebra.table`` gives the same table as a tuple of
+Python ints, for element-by-element lookups in Python loops.
 
 Direct products use the same mixed-radix convention over the factor sizes,
 coordinate 0 most significant: in a product with sizes (2, 3), element 5
@@ -12,7 +14,9 @@ member of the congruence classes.
 """
 
 import json
+import zlib
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,14 +77,63 @@ class Signature:
         return f"Signature({inner})"
 
 
+def _check_ints(values, bound, describe) -> None:
+    """Raise ValidationError(describe(index, value)) for the first entry of
+    the sequence `values` that is not an int (bools excluded) in 0..bound-1.
+
+    Plain ints are checked in one pass over their types and one min/max;
+    anything else, int subclasses included, falls back to a per-entry test.
+    """
+    if set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) < bound)):
+        return
+    for idx, value in enumerate(values):
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
+            raise ValidationError(describe(idx, value))
+
+
+def _checked_table(sym, table, size, arity) -> np.ndarray:
+    """A private read-only int64 copy of one operation table, after checking
+    its length, its entry type and that every entry lies in the carrier."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind not in "iu":
+            raise ValidationError(f"table for {sym!r} has dtype {table.dtype}; entries must be integers")
+        if table.ndim != 1:
+            raise ValidationError(f"table for {sym!r} has shape {table.shape}; tables are flat")
+    elif not isinstance(table, (list, tuple)):
+        table = tuple(table)
+    want = size**arity
+    if len(table) != want:
+        raise ValidationError(f"table for {sym!r} has {len(table)} entries, expected {size}**{arity} = {want}")
+
+    def outside(idx, value):
+        return f"table entry {sym!r}[{idx}] = {value!r} is outside the carrier 0..{size - 1}"
+
+    if isinstance(table, np.ndarray):
+        arr = np.array(table, dtype=np.int64)
+        # viewed as uint64, a negative entry (or a uint64 one of 2**63 or more,
+        # which the cast wraps) is at least 2**63: one max bounds both ends
+        unsigned = arr.view(np.uint64)
+        if unsigned.max() >= size:
+            idx = int(np.argmax(unsigned >= size))
+            raise ValidationError(outside(idx, table[idx].item()))
+    else:
+        _check_ints(table, size, outside)
+        arr = np.array(table, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 class Algebra:
     """A finite algebra: carrier {0..size-1} plus one flat table per symbol.
 
-    Immutable after construction; the constructor checks that every table
-    has length size**arity and every entry lies in the carrier.
+    Immutable after construction.  The constructor checks that every table
+    has length size**arity and every entry lies in the carrier, and keeps
+    its own read-only int64 copy: ``tables`` maps each symbol to that
+    array.  A table may be given as a list or tuple of ints or as an
+    integer-dtype numpy array.
     """
 
-    __slots__ = ("signature", "size", "tables", "name", "_hash", "_arrays")
+    __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples")
 
     def __init__(self, signature, size, tables, name: str = ""):
         if not isinstance(signature, Signature):
@@ -93,43 +146,31 @@ class Algebra:
             raise ValidationError(
                 f"tables do not match signature (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        clean = {}
-        for sym, arity in signature.symbols:
-            table = tuple(tables[sym])
-            want = size**arity
-            if len(table) != want:
-                raise ValidationError(
-                    f"table for {sym!r} has {len(table)} entries, expected {size}**{arity} = {want}"
-                )
-            for idx, value in enumerate(table):
-                if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < size:
-                    raise ValidationError(
-                        f"table entry {sym!r}[{idx}] = {value!r} is outside the carrier 0..{size - 1}"
-                    )
-            clean[sym] = table
+        clean = {sym: _checked_table(sym, tables[sym], size, arity) for sym, arity in signature.symbols}
         self.signature = signature
         self.size = size
-        self.tables = clean
+        self.tables = MappingProxyType(clean)
         self.name = name
         self._hash = None
-        self._arrays = {}
+        self._tuples = {}
 
     @property
     def elements(self) -> range:
         return range(self.size)
 
     def table(self, symbol: str) -> tuple:
-        self.signature.arity(symbol)
-        return self.tables[symbol]
+        """Flat table as a tuple of Python ints, built on first use."""
+        tup = self._tuples.get(symbol)
+        if tup is None:
+            tup = tuple(self.table_array(symbol).tolist())
+            self._tuples[symbol] = tup
+        return tup
 
     def table_array(self, symbol: str) -> np.ndarray:
-        """Flat table as a read-only int64 array, cached per symbol."""
-        arr = self._arrays.get(symbol)
-        if arr is None:
-            arr = np.asarray(self.table(symbol), dtype=np.int64)
-            arr.setflags(write=False)
-            self._arrays[symbol] = arr
-        return arr
+        """Flat table as the stored read-only int64 array."""
+        if symbol not in self.tables:
+            self.signature.arity(symbol)  # raises ValidationError naming the symbol
+        return self.tables[symbol]
 
     def apply(self, symbol: str, args) -> int:
         args = tuple(args)
@@ -141,23 +182,28 @@ class Algebra:
             if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.size:
                 raise ValidationError(f"argument {a!r} is outside the carrier 0..{self.size - 1}")
             idx = idx * self.size + a
-        return self.tables[symbol][idx]
+        return self.table(symbol)[idx]
 
     def rename(self, name: str) -> "Algebra":
         """Same algebra under a different display name."""
         return Algebra(self.signature, self.size, self.tables, name)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Algebra)
-            and self.size == other.size
-            and self.signature == other.signature
-            and self.tables == other.tables
-        )
+        if self is other:
+            return True
+        if not (isinstance(other, Algebra) and self.size == other.size and self.signature == other.signature):
+            return False
+        # memoryview equality skips np.array_equal's call overhead, which
+        # dominates on the small tables that cache lookups compare
+        for sym, table in self.tables.items():
+            if memoryview(table) != memoryview(other.tables[sym]):
+                return False
+        return True
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(self.tables[n] for n in self.signature.names)
+            # equal tables have equal int64 bytes; crc32 reads them without a copy
+            items = tuple(zlib.crc32(self.tables[n]) for n in self.signature.names)
             self._hash = hash((self.signature, self.size, items))
         return self._hash
 
@@ -181,9 +227,11 @@ class ElemMap:
         image = tuple(image)
         if len(image) != source_size:
             raise ValidationError(f"image has {len(image)} entries, expected {source_size}")
-        for x, y in enumerate(image):
-            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < target_size:
-                raise ValidationError(f"image[{x}] = {y!r} is outside the target carrier 0..{target_size - 1}")
+        _check_ints(
+            image,
+            target_size,
+            lambda x, y: f"image[{x}] = {y!r} is outside the target carrier 0..{target_size - 1}",
+        )
         self.source_size = source_size
         self.target_size = target_size
         self.image = image
@@ -308,7 +356,7 @@ def _product_tables(factors, size, strides):
         for i, f in enumerate(factors):
             local = f.table_array(sym).reshape((f.size,) * arity)
             acc += strides[i] * local[np.ix_(*([coords[i]] * arity))]
-        tables[sym] = tuple(acc.ravel().tolist())
+        tables[sym] = acc.ravel()
     return tables
 
 
@@ -349,7 +397,7 @@ class QuotientAlgebra(Algebra):
                 continue
             full = parent.table_array(sym).reshape((parent.size,) * arity)
             picked = full[np.ix_(*([reps_arr] * arity))]
-            tables[sym] = tuple(proj_arr[picked].ravel().tolist())
+            tables[sym] = proj_arr[picked].ravel()
         name = f"{parent.name}/~" if parent.name else ""
         super().__init__(parent.signature, len(reps), tables, name=name)
         self.parent = parent
@@ -410,7 +458,7 @@ def algebra_to_dict(algebra: Algebra, provenance: dict | None = None) -> dict:
         "name": algebra.name,
         "size": algebra.size,
         "signature": [{"name": n, "arity": k} for n, k in algebra.signature.symbols],
-        "tables": {n: list(algebra.tables[n]) for n in algebra.signature.names},
+        "tables": {n: algebra.table_array(n).tolist() for n in algebra.signature.names},
     }
     if provenance is not None:
         data["provenance"] = provenance

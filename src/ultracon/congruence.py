@@ -500,9 +500,8 @@ def con_as_algebra(lattice: ConLattice, symbol: str = "meet") -> Algebra:
     Carrier = lattice indices in canonical order; one binary operation,
     the congruence meet.
     """
-    table = tuple(int(v) for v in lattice.meet_table().ravel())
     name = f"Con({lattice.algebra.name})" if lattice.algebra.name else "Con"
-    return Algebra([(symbol, 2)], len(lattice), {symbol: table}, name=name)
+    return Algebra([(symbol, 2)], len(lattice), {symbol: lattice.meet_table().ravel()}, name=name)
 
 
 def con_lattice_dot(lattice: ConLattice) -> str:

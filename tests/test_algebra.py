@@ -1,6 +1,8 @@
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ultracon import (
@@ -10,6 +12,7 @@ from ultracon import (
     ValidationError,
     algebra_from_dict,
     algebra_to_dict,
+    con_lattice,
     direct_product,
     is_homomorphism,
     kernel,
@@ -146,7 +149,7 @@ def test_direct_product_size_guard(c4):
 def test_quotient_of_chain_is_smaller_chain(c3, s2):
     q = quotient(c3, parse_partition("[[0,1],[2]]", 3))
     assert q.size == 2
-    assert q.tables["op"] == s2.tables["op"]
+    assert q.table("op") == s2.table("op")
     assert q.class_reps == (0, 2)
     assert q.projection.image == (0, 0, 1)
 
@@ -163,7 +166,7 @@ def test_quotient_projection_is_homomorphism(c4, by_name):
 
 
 def test_quotient_by_identity_and_full(c3):
-    assert quotient(c3, Partition.identity(3)).tables["op"] == c3.tables["op"]
+    assert quotient(c3, Partition.identity(3)).table("op") == c3.table("op")
     assert quotient(c3, Partition.full(3)).size == 1
 
 
@@ -227,3 +230,127 @@ def test_algebra_equality_ignores_name(c3):
     assert c3 == c3.rename("other")
     assert hash(c3) == hash(c3.rename("other"))
     assert Algebra == type(c3.rename("other"))
+
+
+C3_MIN = [min(a, b) for a in range(3) for b in range(3)]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_list_table_rejects_non_int_entries(bad):
+    table = list(C3_MIN)
+    table[4] = bad
+    with pytest.raises(ValidationError, match=r"'op'\[4\]"):
+        make_algebra([("op", 2)], 3, {"op": table})
+
+
+def test_int_subclass_entries_are_accepted():
+    class Small(int):
+        pass
+
+    alg = make_algebra([("op", 2)], 3, {"op": [Small(v) for v in C3_MIN]})
+    assert alg.table("op") == tuple(C3_MIN)
+    assert ElemMap(2, 3, [Small(0), Small(2)]).image == (0, 2)
+    with pytest.raises(ValidationError, match=r"image\[1\]"):
+        ElemMap(2, 3, [Small(0), Small(3)])
+
+
+@pytest.mark.parametrize("dtype", [float, bool, object])
+def test_array_table_rejects_non_integer_dtypes(dtype):
+    table = np.array(C3_MIN, dtype=dtype)
+    table[4] = 0.5 if dtype is not bool else True
+    with pytest.raises(ValidationError, match="'op'"):
+        make_algebra([("op", 2)], 3, {"op": table})
+
+
+def test_object_array_of_ints_is_rejected():
+    with pytest.raises(ValidationError, match="dtype"):
+        make_algebra([("op", 2)], 3, {"op": np.array(C3_MIN, dtype=object)})
+
+
+@pytest.mark.parametrize("dtype, bad", [(np.int64, -1), (np.int64, 3), (np.int64, 2**40),
+                                        (np.int32, 1000), (np.uint8, 3), (np.uint64, 2**63)])
+def test_int_array_table_names_first_entry_outside_carrier(dtype, bad):
+    table = np.array(C3_MIN, dtype=dtype)
+    table[5] = table[7] = bad
+    with pytest.raises(ValidationError, match=r"'op'\[5\] = .*outside the carrier 0\.\.2"):
+        make_algebra([("op", 2)], 3, {"op": table})
+
+
+def test_array_table_must_be_flat_and_of_the_right_length():
+    with pytest.raises(ValidationError):
+        make_algebra([("op", 2)], 3, {"op": np.array(C3_MIN).reshape(3, 3)})
+    with pytest.raises(ValidationError, match="8 entries"):
+        make_algebra([("op", 2)], 3, {"op": np.array(C3_MIN[:8])})
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, -1, 2])
+def test_elem_map_names_first_bad_entry(bad):
+    with pytest.raises(ValidationError, match=r"image\[1\]"):
+        ElemMap(3, 2, [0, bad, bad])
+
+
+@pytest.mark.parametrize("dtype", [float, bool, object, np.int64])
+def test_elem_map_rejects_arrays_of_non_python_ints(dtype):
+    image = np.array([0, 0, 1], dtype=dtype)
+    if dtype is object:
+        image[0] = None
+    with pytest.raises(ValidationError, match=r"image\[0\]"):
+        ElemMap(3, 2, image)
+
+
+def test_tuple_and_array_tables_give_one_algebra(s2):
+    from_tuple = make_algebra([("op", 2)], 3, {"op": tuple(C3_MIN)})
+    from_array = make_algebra([("op", 2)], 3, {"op": np.array(C3_MIN, dtype=np.int32)})
+    assert from_tuple == from_array
+    assert hash(from_tuple) == hash(from_array)
+    assert direct_product([from_tuple, s2]) is direct_product([from_array, s2])
+    assert from_array.table("op") == tuple(C3_MIN)
+    assert all(type(v) is int for v in from_array.table("op"))
+    assert from_array.apply("op", (2, 1)) == 1
+
+
+def test_table_array_is_read_only(c3):
+    arr = c3.table_array("op")
+    assert arr.dtype == np.int64
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    prod = direct_product([c3, c3])
+    with pytest.raises(ValueError):
+        prod.table_array("op")[0] = 1
+
+
+def test_caller_writes_do_not_reach_the_algebra():
+    mine = np.array(C3_MIN, dtype=np.int64)
+    alg = make_algebra([("op", 2)], 3, {"op": mine})
+    mine[:] = 0
+    assert alg.table("op") == tuple(C3_MIN)
+    assert alg.table_array("op").tolist() == C3_MIN
+
+
+def test_product_tables_stay_within_bytes_per_entry(z3):
+    from ultracon.algebra import _direct_product_cached
+
+    direct_product((z3,) * 2)  # warm up imports and numpy before tracing
+    _direct_product_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        prod = direct_product((z3,) * 6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _direct_product_cached.cache_clear()
+    entries = sum(len(t) for t in prod.tables.values())
+    assert entries == 729**2
+    assert retained / entries <= 12
+    assert peak / entries <= 24
+
+
+def test_json_round_trip_of_built_algebras(tmp_path, s2, c3):
+    prod = direct_product([s2, c3])
+    built = [prod] + [quotient(prod, theta) for theta in list(con_lattice(prod))[1:3]]
+    for i, alg in enumerate(built):
+        data = algebra_to_dict(alg)
+        assert all(type(v) is int for table in data["tables"].values() for v in table)
+        path = tmp_path / f"built{i}.json"
+        save_algebra(alg, path)
+        assert load_algebra(path) == alg

@@ -269,7 +269,7 @@ def test_con_as_algebra_shapes(c3, s2):
     # Con(S2) is the 2-chain; canonical order lists the full congruence
     # (the top, index 0) before the identity, so meet(0, 1) = 1
     semi2 = con_as_algebra(con_lattice(s2))
-    assert semi2.tables["meet"] == (0, 1, 1, 1)
+    assert semi2.table("meet") == (0, 1, 1, 1)
 
 
 def test_cover_pairs_match_naive_oracle(by_name):

@@ -161,7 +161,7 @@ def test_single_factor_ultraproduct_is_isomorphic_copy(corpus):
     for alg in corpus:
         u = ultraproduct([alg], ultra)
         assert u.size == alg.size
-        assert u.tables == alg.tables
+        assert all(u.table(sym) == alg.table(sym) for sym in alg.signature.names)
 
 
 def test_induced_congruence_round_trip(c4):
