@@ -133,7 +133,7 @@ class Algebra:
     integer-dtype numpy array.
     """
 
-    __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples")
+    __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples", "_isos")
 
     def __init__(self, signature, size, tables, name: str = ""):
         if not isinstance(signature, Signature):
@@ -153,6 +153,7 @@ class Algebra:
         self.name = name
         self._hash = None
         self._tuples = {}
+        self._isos = {}  # find_isomorphism results from this algebra, by (target, guard)
 
     @property
     def elements(self) -> range:
@@ -286,9 +287,15 @@ class ElemMap:
         return f"ElemMap({self.source_size}->{self.target_size}, {self.image})"
 
 
-def _coordinate_vectors(sizes, strides, total):
-    """Per-factor coordinate of every product element, as int64 vectors."""
-    base = np.arange(total, dtype=np.int64)
+def _coordinate_vectors(sizes, strides, elements):
+    """Per-factor coordinates of product elements, as int64 vectors.
+
+    elements is a count, meaning every element 0..count-1, or an array of
+    elements.
+    """
+    if isinstance(elements, int):
+        elements = np.arange(elements)
+    base = np.asarray(elements, dtype=np.int64)
     return [(base // strides[i]) % sizes[i] for i in range(len(sizes))]
 
 

@@ -233,34 +233,82 @@ def all_partitions(size: int):
     yield from rec(1, 1) if size > 1 else iter((Partition([0]),))
 
 
-def _congruence_violation(algebra: Algebra, p: Partition):
-    """First one-coordinate compatibility failure, or None.
+# Largest temporary, in int64 entries, that a pass over a batch of label
+# rows builds; a single row always goes through whole.
+_BATCH_ENTRIES = 1 << 20
 
-    Returns (symbol, position, a, b, index) meaning: substituting b for a
-    at `position` in the argument tuple decoded from flat `index` changes
-    the result's class.
+
+def _congruence_violations(algebra: Algebra, labels: np.ndarray) -> list:
+    """First one-coordinate compatibility failure of each row of labels, or None.
+
+    labels is an (R, n) int64 array of class ids in which every element's
+    id is an element of its class (least-member ids are).  A witness
+    (symbol, position, a, b, index) means: substituting b for a at
+    `position` in the argument tuple decoded from flat `index` changes the
+    result's class.  Rows are checked a chunk at a time, so that no
+    temporary exceeds _BATCH_ENTRIES entries unless one row does.
     """
+    n = algebra.size
+    out = [None] * len(labels)
+    ops = [(sym, arity) for sym, arity in algebra.signature.symbols if arity > 0]
+    if not ops:
+        return out
+    chunk = max(1, _BATCH_ENTRIES // n ** max(arity for _, arity in ops))
+    for start in range(0, len(labels), chunk):
+        cid = labels[start:start + chunk]
+        count = len(cid)
+        # row r, element x of the chunk is row r * n + x of the stacked rows
+        reps = (cid + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel()
+        todo = set(range(count))
+        for sym, arity, pos, rows in _argument_rows(algebra, ops, cid):
+            # each element's row must match its class representative's row
+            mism = rows != rows[reps]
+            if not mism.any():
+                continue
+            per_row = mism.reshape(count, -1)
+            for r in np.flatnonzero(per_row.any(axis=1)).tolist():
+                if r in todo:
+                    todo.discard(r)
+                    a, rest = divmod(int(per_row[r].argmax()), rows.shape[1])
+                    # rebuild the flat index of the offending argument tuple
+                    before, after = divmod(rest, n ** (arity - 1 - pos))
+                    flat = (before * n + a) * (n ** (arity - 1 - pos)) + after
+                    out[start + r] = (sym, pos, a, int(cid[r, a]), flat)
+            if not todo:
+                break
+    return out
+
+
+def _argument_rows(algebra: Algebra, ops, cid: np.ndarray):
+    """Yield (symbol, arity, position, rows) for every operation and argument position.
+
+    Row r * n + x of rows holds, under labelling cid[r], the classes of the
+    results with x at that position, one column per tuple of the other
+    arguments in row-major order.
+    """
+    n = algebra.size
+    count = len(cid)
+    for sym, arity in ops:
+        classes = cid.take(algebra.table_array(sym), axis=1).reshape((count,) + (n,) * arity)
+        for pos in range(arity):
+            axes = (0, pos + 1) + tuple(k for k in range(1, arity + 1) if k != pos + 1)
+            yield sym, arity, pos, classes.transpose(axes).reshape(count * n, -1)
+
+
+def _congruence_violation(algebra: Algebra, p: Partition):
+    """First one-coordinate compatibility failure of p, or None (see _congruence_violations)."""
     if p.size != algebra.size:
         raise ValidationError(f"partition is over {p.size} elements, algebra has {algebra.size}")
-    n = algebra.size
-    cid = np.asarray(p.class_id, dtype=np.int64)
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        classes = cid[algebra.table_array(sym)].reshape((n,) * arity)
-        for pos in range(arity):
-            rows = np.moveaxis(classes, pos, 0).reshape(n, -1)
-            # each element's row must match its class representative's row
-            mism = rows != rows[cid]
-            if mism.any():
-                a, rest = map(int, np.argwhere(mism)[0])
-                b = int(cid[a])
-                # rebuild the flat index of the offending argument tuple
-                before = rest // (n ** (arity - 1 - pos))
-                after = rest % (n ** (arity - 1 - pos))
-                flat = (before * n + a) * (n ** (arity - 1 - pos)) + after
-                return (sym, pos, a, b, flat)
-    return None
+    return _congruence_violations(algebra, np.asarray([p.class_id], dtype=np.int64))[0]
+
+
+def _not_a_congruence(algebra: Algebra, witness) -> ValidationError:
+    """The error for a partition that fails compatibility with witness."""
+    sym, pos, a, b, flat = witness
+    return ValidationError(
+        f"not a congruence of {algebra.name or 'the algebra'}: {sym!r} at argument {pos} "
+        f"separates related elements {a}~{b} (argument index {flat})"
+    )
 
 
 def is_congruence(algebra: Algebra, p: Partition) -> bool:
@@ -280,11 +328,7 @@ class Congruence(Partition):
             raise ValidationError(f"partition is over {self.size} elements, algebra has {algebra.size}")
         witness = _congruence_violation(algebra, self)
         if witness is not None:
-            sym, pos, a, b, flat = witness
-            raise ValidationError(
-                f"not a congruence of {algebra.name or 'the algebra'}: {sym!r} at argument {pos} "
-                f"separates related elements {a}~{b} (argument index {flat})"
-            )
+            raise _not_a_congruence(algebra, witness)
         self.algebra = algebra
 
     def __repr__(self) -> str:

@@ -80,26 +80,25 @@ def _check_index_match(count: int, ultra: UltrafilterD) -> None:
         )
 
 
-def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD) -> list:
-    """Least-member class ids of the relation {(x, y) : {i : x_i ~ y_i} in ultra}.
+def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD) -> np.ndarray:
+    """Least-member class ids of the relations {(x, y) : {i : x_i ~ y_i} in ultra}.
 
-    class_ids[i] gives the least member of each element's class under an
-    equivalence ~ on factor i.  A filter on a finite index set contains
-    the intersection S of all its members and every superset of S, so x
-    and y are related exactly when x_i ~ y_i for every i in S: the class
-    of x is fixed by the classes of its coordinates in S.  That is
-    O(|P| * |S|) work, with no |P| x |P| array.
+    class_ids[i] is an (F, n_i) array: row f gives the least member of each
+    element's class under the f-th equivalence ~ on factor i.  Returns an
+    (F, |P|) int64 array, one row per f.  A filter on a finite index set
+    contains the intersection S of all its members and every superset of
+    S, so x and y are related exactly when x_i ~ y_i for every i in S: the
+    class of x is fixed by the classes of its coordinates in S, and its
+    least member has the least members of those classes at S and 0
+    elsewhere.  That is O(F * |P| * |S|) work, with no |P| x |P| array.
     """
     core = mask_elements(reduce(and_, ultra.members))
     sizes = [product.factors[i].size for i in core]
     strides = [product.strides[i] for i in core]
-    # the element whose coordinates in S are the class representatives
-    # and 0 elsewhere: one label per class
-    label = np.zeros(product.size, dtype=np.int64)
+    label = np.zeros((len(class_ids[0]), product.size), dtype=np.int64)
     for i, stride, coords in zip(core, strides, _coordinate_vectors(sizes, strides, product.size)):
-        label += np.asarray(class_ids[i], dtype=np.int64)[coords] * stride
-    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
-    return first[inverse].tolist()
+        label += np.asarray(class_ids[i], dtype=np.int64).take(coords, axis=1) * stride
+    return label
 
 
 def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> Congruence:
@@ -110,8 +109,8 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
     """
     product = direct_product(factors, max_size)
     _check_index_match(len(product.factors), ultra)
-    identities = [range(f.size) for f in product.factors]
-    return Congruence(product, _least_member_labels(product, identities, ultra))
+    identities = [np.arange(f.size)[None, :] for f in product.factors]
+    return Congruence(product, _least_member_labels(product, identities, ultra)[0].tolist())
 
 
 def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
@@ -123,8 +122,8 @@ def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
     """
     product = direct_product(family.factors, max_size)
     _check_index_match(len(product.factors), ultra)
-    class_ids = [c.class_id for c in family.choice]
-    return Congruence(product, _least_member_labels(product, class_ids, ultra))
+    class_ids = [[c.class_id] for c in family.choice]
+    return Congruence(product, _least_member_labels(product, class_ids, ultra)[0].tolist())
 
 
 class UltraproductAlgebra(QuotientAlgebra):
@@ -157,6 +156,37 @@ def ultraproduct(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUAR
     return _ultraproduct_cached(tuple(factors), ultra, max_size)
 
 
+def _unrefined(theta_rows: np.ndarray, base) -> np.ndarray:
+    """For each row of class ids, the first element whose base class leaves
+    its theta_rows class, or -1 where base refines that row."""
+    mism = theta_rows != theta_rows.take(base.class_id, axis=1)
+    if not mism.any():
+        return np.full(len(theta_rows), -1)
+    return np.where(mism.any(axis=1), mism.argmax(axis=1), -1)
+
+
+def _not_refined(base, e: int) -> ValidationError:
+    """The error for a theta that base does not refine, e as _unrefined found it."""
+    return ValidationError(
+        f"base does not refine theta: {e} and {base.class_id[e]} share a base class "
+        "but not a theta class"
+    )
+
+
+def _carried_down(theta_rows: np.ndarray, quotient_algebra: QuotientAlgebra) -> np.ndarray:
+    """Each row of theta_rows carried down to the quotient by its congruence.
+
+    theta_rows is an (R, |parent|) array of least-member class ids, each
+    refined by the quotient's congruence.  Row r of the result labels
+    quotient element q by the least quotient element whose representative
+    shares q's theta class: a least member of a theta class is the least
+    member of its own base class, so it is a representative, and its
+    projection is the least quotient element of the class.
+    """
+    proj = np.asarray(quotient_algebra.projection.image, dtype=np.int64)
+    return proj[theta_rows.take(quotient_algebra.class_reps, axis=1)]
+
+
 def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: QuotientAlgebra | None = None) -> Congruence:
     """Carry theta down to the quotient by base.
 
@@ -170,16 +200,13 @@ def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: Qu
         raise ValidationError(f"congruence sizes differ: {theta.size} vs {base.size}")
     if theta.algebra != base.algebra:
         raise ValidationError("theta and base are congruences of different algebras")
-    for e in range(base.size):
-        if theta.class_id[e] != theta.class_id[base.class_id[e]]:
-            raise ValidationError(
-                f"base does not refine theta: {e} and {base.class_id[e]} share a base class "
-                "but not a theta class"
-            )
+    row = np.asarray([theta.class_id], dtype=np.int64)
+    e = int(_unrefined(row, base)[0])
+    if e >= 0:
+        raise _not_refined(base, e)
     if quotient_algebra is None:
         quotient_algebra = make_quotient(theta.algebra, base)
     else:
         if quotient_algebra.parent != theta.algebra or quotient_algebra.congruence != base:
             raise ValidationError("supplied quotient was not built from this algebra and base")
-    labels = [theta.class_id[rep] for rep in quotient_algebra.class_reps]
-    return Congruence(quotient_algebra, Partition(labels))
+    return Congruence(quotient_algebra, _carried_down(row, quotient_algebra)[0].tolist())

@@ -71,11 +71,24 @@ def _refine_colors_jointly(a: Algebra, b: Algebra) -> tuple:
 
 
 def find_isomorphism(a: Algebra, b: Algebra, max_size: int = DEFAULT_ISO_GUARD) -> IsoResult:
-    """Search for an isomorphism a -> b; complete below the guard."""
+    """Search for an isomorphism a -> b; complete below the guard.
+
+    The result is kept on a, keyed by b and the guard: algebras are
+    immutable and compare by their tables, so a repeated search for an
+    equal pair returns the first one's result.
+    """
     if a.signature != b.signature:
         raise ValidationError("isomorphism needs matching signatures")
     if max(a.size, b.size) > max_size:
         raise SizeGuardError(f"carriers {a.size}, {b.size} exceed the search guard {max_size}")
+    result = a._isos.get((b, max_size))
+    if result is None:
+        result = a._isos[b, max_size] = _search(a, b)
+    return result
+
+
+def _search(a: Algebra, b: Algebra) -> IsoResult:
+    """find_isomorphism's search, for same-signature carriers within the guard."""
     if a.size != b.size:
         return IsoResult(False)
     n = a.size

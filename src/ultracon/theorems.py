@@ -39,9 +39,12 @@ from .algebra import (
     quotient,
 )
 from .congruence import (
+    _BATCH_ENTRIES,
     Congruence,
     Partition,
     _as_congruence,
+    _congruence_violations,
+    _not_a_congruence,
     con_as_algebra,
     con_lattice_of,
     format_partition,
@@ -49,6 +52,10 @@ from .congruence import (
 from .constructions import (
     CongruenceFamily,
     UltraproductAlgebra,
+    _carried_down,
+    _least_member_labels,
+    _not_refined,
+    _unrefined,
     induced_congruence,
     product_congruence,
     ultraproduct,
@@ -275,6 +282,74 @@ def join_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
     return Congruence(algebra, out)
 
 
+class _FamilyImages:
+    """Theorem 1's map, family id -> product congruence carried down to the
+    ultraproduct, computed a batch of families at a time.
+
+    Family ids decode as in _family_from_id.  Every family's product
+    congruence is labelled from its own full family, all of a batch in one
+    stacked pass; only identical label rows share the rest of the work.
+    Each distinct row is validated once as a congruence of the product, and
+    its image once as a congruence of the ultraproduct.  images holds the
+    distinct images, index maps an image's class_id to its position there,
+    and number maps each family id computed so far to its image's position.
+    """
+
+    def __init__(self, ultra_alg: UltraproductAlgebra, lattices, fam_prod):
+        self.ultra_alg = ultra_alg
+        self.sizes = [len(lat) for lat in lattices]
+        self.strides = fam_prod.strides
+        self.class_ids = [np.array([c.class_id for c in lat], dtype=np.int64) for lat in lattices]
+        self.images = []
+        self.index = {}
+        self.number = {}
+        self._by_row = {}
+
+    def __call__(self, fid: int) -> Partition:
+        if fid not in self.number:
+            self.add([fid])
+        return self.images[self.number[fid]]
+
+    def add(self, fids) -> None:
+        """Compute the images of the families in fids that have none yet."""
+        todo = np.array(sorted({f for f in fids if f not in self.number}), dtype=np.int64)
+        chunk = max(1, _BATCH_ENTRIES // self.ultra_alg.product.size)
+        for start in range(0, len(todo), chunk):
+            self._add_batch(todo[start:start + chunk])
+
+    def _add_batch(self, fids: np.ndarray) -> None:
+        product = self.ultra_alg.product
+        choice = _coordinate_vectors(self.sizes, self.strides, fids)
+        labels = _least_member_labels(product, [ids[c] for ids, c in zip(self.class_ids, choice)],
+                                      self.ultra_alg.ultrafilter)
+        rows, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+        # new rows in the order of their first family, so that a failure
+        # names the family that checking one at a time would have stopped on
+        new = sorted((r for r in range(len(rows)) if rows[r].tobytes() not in self._by_row),
+                     key=first.__getitem__)
+        if new:
+            thetas = rows[new]
+            theta_bad = _congruence_violations(product, thetas)
+            unrefined = _unrefined(thetas, self.ultra_alg.congruence)
+            carried = _carried_down(thetas, self.ultra_alg)
+            image_bad = _congruence_violations(self.ultra_alg, carried)
+            for k, r in enumerate(new):
+                if theta_bad[k] is not None:
+                    raise _not_a_congruence(product, theta_bad[k])
+                if unrefined[k] >= 0:
+                    raise _not_refined(self.ultra_alg.congruence, int(unrefined[k]))
+                if image_bad[k] is not None:
+                    raise _not_a_congruence(self.ultra_alg, image_bad[k])
+                image = Partition(carried[k].tolist())
+                num = self.index.setdefault(image.class_id, len(self.images))
+                if num == len(self.images):
+                    self.images.append(image)
+                self._by_row[rows[r].tobytes()] = num
+        nums = [self._by_row[row.tobytes()] for row in rows]
+        for fid, inv in zip(fids.tolist(), inverse.ravel().tolist()):
+            self.number[fid] = nums[inv]
+
+
 def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
                 exhaustive_limit: int = EXHAUSTIVE_LIMIT, sample_size: int = SAMPLE_SIZE,
                 max_size: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
@@ -292,25 +367,20 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     con_algs = tuple(con_as_algebra(lat) for lat in lattices)
     fam_prod = direct_product(con_algs, max_size)
     fam_ultra = ultraproduct(con_algs, ultra, max_size)
+    sizes = [len(lat) for lat in lattices]
     rng = random.Random(seed)
-    fam_ids, total = _family_ids([len(lat) for lat in lattices], exhaustive_limit, sample_size, rng)
+    fam_ids, total = _family_ids(sizes, exhaustive_limit, sample_size, rng)
     exhaustive = total <= exhaustive_limit
-
-    image_cache: dict = {}
-
-    def image_of(fid: int) -> Congruence:
-        got = image_cache.get(fid)
-        if got is None:
-            got = congruence_on_ultraproduct(_family_from_id(fid, factors, lattices), ultra,
-                                             ultra_alg=ultra_alg, max_size=max_size)
-            image_cache[fid] = got
-        return got
 
     if not exhaustive:
         # make sure each sampled family can be compared with its class twin
         fam_ids = sorted(set(fam_ids) | {fam_ultra.class_reps[fam_ultra.projection[s]] for s in fam_ids})
-    for fid in fam_ids:
-        image_of(fid)
+    image_of = _FamilyImages(ultra_alg, lattices, fam_prod)
+    image_of.add(fam_ids)
+    number = image_of.number
+
+    def family_text(fid: int) -> list:
+        return _family_text(_family_from_id(fid, factors, lattices))
 
     checks = []
 
@@ -322,10 +392,10 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     for cls, members in by_class.items():
         rep = members[0]
         for fid in members[1:]:
-            if image_of(fid) != image_of(rep):
+            if number[fid] != number[rep]:
                 wd_witness = {
-                    "family_a": _family_text(_family_from_id(rep, factors, lattices)),
-                    "family_b": _family_text(_family_from_id(fid, factors, lattices)),
+                    "family_a": family_text(rep),
+                    "family_b": family_text(fid),
                     "image_a": format_partition(image_of(rep)),
                     "image_b": format_partition(image_of(fid)),
                 }
@@ -338,12 +408,12 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     inj_witness = None
     seen_image: dict = {}
     for cls, members in sorted(by_class.items()):
-        img = image_of(members[0]).class_id
+        img = number[members[0]]
         if img in seen_image and seen_image[img] != cls:
             other = by_class[seen_image[img]][0]
             inj_witness = {
-                "family_a": _family_text(_family_from_id(other, factors, lattices)),
-                "family_b": _family_text(_family_from_id(members[0], factors, lattices)),
+                "family_a": family_text(other),
+                "family_b": family_text(members[0]),
                 "shared_image": format_partition(image_of(members[0])),
             }
             break
@@ -352,25 +422,16 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
 
     # meet preservation: image of the coordinatewise meet is the meet of images
     meet_witness = None
+    fam_meet = fam_prod.table_array(con_algs[0].signature.names[0])
     if exhaustive:
-        distinct: dict = {}
-        parts = []
-        key = np.empty(total, dtype=np.int64)
-        for fid in range(total):
-            img = image_of(fid)
-            idx = distinct.get(img.class_id)
-            if idx is None:
-                idx = len(parts)
-                distinct[img.class_id] = idx
-                parts.append(img)
-            key[fid] = idx
+        parts = image_of.images
+        key = np.array([number[fid] for fid in range(total)], dtype=np.int64)
         r = len(parts)
         meet_of_images = np.full((r, r), -1, dtype=np.int64)
         for i in range(r):
             for j in range(i, r):
                 m = parts[i].meet(parts[j])
-                meet_of_images[i, j] = meet_of_images[j, i] = distinct.get(m.class_id, -1)
-        fam_meet = fam_prod.table_array(con_algs[0].signature.names[0])
+                meet_of_images[i, j] = meet_of_images[j, i] = image_of.index.get(m.class_id, -1)
         expected = key[fam_meet]
         actual = meet_of_images[np.ix_(key, key)].ravel()
         bad = np.flatnonzero(expected != actual)
@@ -378,21 +439,20 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
             flat = int(bad[0])
             s, t = divmod(flat, total)
             meet_witness = {
-                "family_a": _family_text(_family_from_id(s, factors, lattices)),
-                "family_b": _family_text(_family_from_id(t, factors, lattices)),
+                "family_a": family_text(s),
+                "family_b": family_text(t),
                 "image_of_meet": format_partition(image_of(int(fam_meet[flat]))),
                 "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
             }
     else:
-        op = con_algs[0].signature.names[0]
-        for _ in range(sample_size):
-            s = rng.choice(fam_ids)
-            t = rng.choice(fam_ids)
-            mid = fam_prod.apply(op, (s, t))
+        pairs = [(rng.choice(fam_ids), rng.choice(fam_ids)) for _ in range(sample_size)]
+        mids = fam_meet[[s * total + t for s, t in pairs]].tolist()
+        image_of.add(mids)
+        for (s, t), mid in zip(pairs, mids):
             if image_of(mid) != image_of(s).meet(image_of(t)):
                 meet_witness = {
-                    "family_a": _family_text(_family_from_id(s, factors, lattices)),
-                    "family_b": _family_text(_family_from_id(t, factors, lattices)),
+                    "family_a": family_text(s),
+                    "family_b": family_text(t),
                     "image_of_meet": format_partition(image_of(mid)),
                     "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
                 }
@@ -400,16 +460,14 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     checks.append(Check("preserves-meets", meet_witness is None, meet_witness))
 
     # joins are not asserted by the theorem; report them as information
-    join_ok = True
-    join_bad = 0
-    reps = sorted(members[0] for members in by_class.values())[:64]
-    for i, s in enumerate(reps):
-        for t in reps[i:]:
-            cs, ct = fam_prod.decode(s), fam_prod.decode(t)
-            jid = fam_prod.encode(int(lat.join_table()[a, b]) for lat, a, b in zip(lattices, cs, ct))
-            if image_of(jid) != image_of(s).join(image_of(t)):
-                join_ok = False
-                join_bad += 1
+    reps = np.array(sorted(members[0] for members in by_class.values())[:64], dtype=np.int64)
+    first, second = np.triu_indices(len(reps))
+    jids = sum(lat.join_table()[c[first], c[second]] * stride
+               for lat, c, stride in zip(lattices, _coordinate_vectors(sizes, fam_prod.strides, reps),
+                                         fam_prod.strides)).tolist()
+    image_of.add(jids)
+    join_bad = sum(image_of(jid) != image_of(s).join(image_of(t))
+                   for s, t, jid in zip(reps[first].tolist(), reps[second].tolist(), jids))
 
     instance = {
         "factors": [{"name": f.name, "size": f.size} for f in factors],
@@ -420,11 +478,11 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     }
     info = {
         "ultraproduct_size": ultra_alg.size,
-        "lattice_sizes": [len(lat) for lat in lattices],
+        "lattice_sizes": sizes,
         "families_checked": len(fam_ids),
         "classes_seen": len(by_class),
-        "image_size": len({image_of(f).class_id for f in fam_ids}),
-        "joins_preserved": join_ok,
+        "image_size": len({number[f] for f in fam_ids}),
+        "joins_preserved": join_bad == 0,
         "join_counterexamples": join_bad,
     }
     return VerificationReport("thm1", instance, tuple(checks), info)

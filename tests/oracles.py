@@ -26,6 +26,31 @@ def naive_is_congruence(algebra, labels) -> bool:
     return True
 
 
+def naive_first_violation(algebra, labels):
+    """First one-coordinate compatibility failure of a least-member labelling.
+
+    Scans symbols in signature order, then argument positions, then the
+    element a substituted at that position, then the other arguments in
+    row-major order; returns (symbol, position, a, labels[a], flat index
+    of the argument tuple holding a) for the first tuple whose result
+    changes class when labels[a] replaces a, or None.
+    """
+    n = algebra.size
+    for sym, arity in algebra.signature.symbols:
+        for pos in range(arity):
+            for a in range(n):
+                b = labels[a]
+                for rest in iter_product(range(n), repeat=arity - 1):
+                    xs = rest[:pos] + (a,) + rest[pos:]
+                    ys = rest[:pos] + (b,) + rest[pos:]
+                    if labels[algebra.apply(sym, xs)] != labels[algebra.apply(sym, ys)]:
+                        flat = 0
+                        for x in xs:
+                            flat = flat * n + x
+                        return (sym, pos, a, b, flat)
+    return None
+
+
 def relation_matrix(partition):
     n = partition.size
     return [[partition.relates(a, b) for b in range(n)] for a in range(n)]

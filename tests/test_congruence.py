@@ -23,6 +23,7 @@ from ultracon.congruence import format_partition
 from oracles import (
     matrix_to_blocks,
     naive_cover_pairs,
+    naive_first_violation,
     naive_is_congruence,
     naive_join_matrix,
     naive_meet_matrix,
@@ -130,6 +131,21 @@ def test_is_congruence_matches_naive_substitution_check(corpus):
         for labels in naive_partitions(alg.size):
             assert is_congruence(alg, Partition(labels)) == naive_is_congruence(alg, labels), (
                 alg.name, labels)
+
+
+def test_stacked_validation_is_the_same_in_chunks(corpus, monkeypatch):
+    # every partition of each small algebra as one stack, whole and then
+    # in chunks of two rows; each row's witness is the oracle's
+    for alg in corpus:
+        if alg.size > 4:
+            continue
+        parts = list(all_partitions(alg.size))
+        labels = np.array([p.class_id for p in parts], dtype=np.int64)
+        whole = congruence._congruence_violations(alg, labels)
+        assert whole == [naive_first_violation(alg, p.class_id) for p in parts], alg.name
+        with monkeypatch.context() as patch:
+            patch.setattr(congruence, "_BATCH_ENTRIES", 2 * alg.size**2)
+            assert congruence._congruence_violations(alg, labels) == whole, alg.name
 
 
 def test_is_congruence_specific_cases(c3):

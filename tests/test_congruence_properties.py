@@ -1,5 +1,6 @@
 """Property tests: the congruence layer against brute force on random algebras."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,17 +11,24 @@ from ultracon import (
     make_algebra,
     principal_congruence,
 )
+from ultracon.congruence import _congruence_violation, _congruence_violations
 
-from oracles import matrix_to_blocks, naive_join_matrix, relation_matrix
+from oracles import (
+    matrix_to_blocks,
+    naive_first_violation,
+    naive_is_congruence,
+    naive_join_matrix,
+    relation_matrix,
+)
 
 # fixed examples keep the suite reproducible and inside its time budget
 PROPERTY = settings(max_examples=250, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def algebras(draw):
-    """Carriers of 1-4 elements, one to three operations of arity 0-3."""
-    n = draw(st.integers(1, 4))
+def algebras(draw, max_size=4):
+    """Carriers of 1 to max_size elements, one to three operations of arity 0-3."""
+    n = draw(st.integers(1, max_size))
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     signature = [(f"f{i}", k) for i, k in enumerate(arities)]
     cells = st.integers(0, n - 1)
@@ -33,6 +41,15 @@ def labelling_pairs(draw):
     n = draw(st.integers(1, 8))
     labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     return draw(labels), draw(labels)
+
+
+@st.composite
+def algebras_with_partitions(draw):
+    """An algebra of at most 5 elements and one to four partitions of its carrier."""
+    algebra = draw(algebras(max_size=5))
+    n = algebra.size
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    return algebra, [Partition(row) for row in rows]
 
 
 @PROPERTY
@@ -58,3 +75,16 @@ def test_principal_congruence_is_meet_of_congruences_relating_the_pair(algebra):
 def test_join_matches_naive_closure(labels):
     p, q = Partition(labels[0]), Partition(labels[1])
     assert p.join(q).blocks() == matrix_to_blocks(naive_join_matrix(p, q))
+
+
+@PROPERTY
+@given(algebras_with_partitions())
+def test_stacked_validation_matches_oracles_row_by_row(case):
+    algebra, parts = case
+    labels = np.array([p.class_id for p in parts], dtype=np.int64)
+    witnesses = _congruence_violations(algebra, labels)
+    assert len(witnesses) == len(parts)
+    for p, witness in zip(parts, witnesses):
+        assert (witness is None) == naive_is_congruence(algebra, p.class_id)
+        assert witness == _congruence_violation(algebra, p)
+        assert witness == naive_first_violation(algebra, p.class_id)

@@ -18,6 +18,7 @@ from ultracon import (
     quotient,
     ultraproduct,
 )
+from ultracon import constructions
 from ultracon.congruence import parse_partition
 
 from oracles import definitional_product_matrix, naive_product_relates
@@ -100,6 +101,31 @@ def test_dstar_and_product_congruence_match_definition_on_mixed_product(s2, c3):
                     want = naive_product_relates(
                         factors, sigmas, member_sets, prod.decode(x), prod.decode(y))
                     assert theta.relates(x, y) == want
+
+
+class UpSet:
+    """Test-only stand-in for the filter of index sets containing `core`
+    (a bitmask), with the two attributes the labeller and the oracle read.
+    A proper filter, not an ultrafilter: its least member has two indices."""
+
+    def __init__(self, n, core):
+        self.n = n
+        self.members = tuple(m for m in range(1 << n) if m & core == core)
+
+
+def test_stacked_labels_match_definition_on_two_coordinate_core(s2, c3):
+    # every family over [S2, C3, S2] as one stacked call, filter up-{0, 2}
+    factors = [s2, c3, s2]
+    prod = direct_product(factors)
+    up = UpSet(3, 0b101)
+    families = list(iter_product(*(list(con_lattice(f)) for f in factors)))
+    class_ids = [np.array([fam[i].class_id for fam in families]) for i in range(len(factors))]
+    labels = constructions._least_member_labels(prod, class_ids, up)
+    assert labels.shape == (len(families), prod.size) and len(families) > 1
+    for row, sigmas in zip(labels.tolist(), families):
+        rel = definitional_product_matrix(prod, [s.to_matrix() for s in sigmas], up)
+        assert np.array_equal(Partition(row).to_matrix(), rel)
+        assert Partition(row).class_id == tuple(row)  # least-member ids
 
 
 def test_product_congruence_contains_agreement(c3):

@@ -108,3 +108,18 @@ def test_witness_maps_operations(by_name):
             lhs = result.witness[z4.apply("op", (x, y))]
             rhs = negated.apply("op", (result.witness[x], result.witness[y]))
             assert lhs == rhs
+
+
+def test_results_are_kept_per_source_target_and_guard(by_name):
+    z4 = by_name["Z4"]
+    source = z4.rename("source")  # a fresh algebra, so nothing is kept on it yet
+    copy = z4.rename("copy")  # equal tables, another object
+    first = find_isomorphism(source, copy)
+    assert first.found
+    assert find_isomorphism(source, z4) is first  # an equal target finds the kept result
+    assert find_isomorphism(source, copy, max_size=4) is not first  # another guard searches again
+    with pytest.raises(SizeGuardError):  # guard errors are raised on every call
+        find_isomorphism(source, copy, max_size=3)
+    swapped = relabel(z4, [1, 0, 2, 3])  # not an automorphism: other tables
+    other = find_isomorphism(source, swapped)
+    assert other.found and other is not first

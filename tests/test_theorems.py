@@ -1,4 +1,6 @@
 import json
+import random
+from math import prod
 
 import pytest
 
@@ -26,9 +28,9 @@ from ultracon import (
     verify_thm2,
     verify_thm3,
 )
-from ultracon import constructions
+from ultracon import constructions, theorems
 from ultracon.algebra import _quotient_cached
-from ultracon.congruence import format_partition, parse_partition
+from ultracon.congruence import con_as_algebra, con_lattice_of, format_partition, parse_partition
 
 
 def sigma_a(size=3):
@@ -104,6 +106,55 @@ def test_verify_thm1_sampled_mode_is_deterministic(c3):
     assert r1.passed and r2.passed
     assert r1.to_dict() == r2.to_dict()
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("names, exhaustive_limit", [
+    (("C3", "C3"), theorems.EXHAUSTIVE_LIMIT),
+    (("S2", "C3", "S2"), theorems.EXHAUSTIVE_LIMIT),
+    (("C4", "LZ3"), 10),
+    (("C4", "C4", "LZ3"), 100),
+])
+def test_batched_images_match_one_family_at_a_time(names, exhaustive_limit, by_name):
+    # the first batch is what verify_thm1 starts from (every family, or a
+    # seeded sample); every other family then comes as a batch of one, as
+    # sampled mode's meet and join ids do
+    factors = tuple(by_name[n] for n in names)
+    lattices = [con_lattice_of(f) for f in factors]
+    fam_prod = direct_product(tuple(con_as_algebra(lat) for lat in lattices))
+    fam_ids, total = theorems._family_ids([len(lat) for lat in lattices], exhaustive_limit, 8,
+                                          random.Random(5))
+    assert total == prod(len(lat) for lat in lattices)
+    assert (len(fam_ids) == total) == (total <= exhaustive_limit)
+    for i0 in range(len(factors)):
+        ultra = principal_ultrafilter(len(factors), i0)
+        ultra_alg = ultraproduct(factors, ultra)
+        image_of = theorems._FamilyImages(ultra_alg, lattices, fam_prod)
+        image_of.add(fam_ids)
+        for fid in range(total):
+            family = theorems._family_from_id(fid, factors, lattices)
+            assert image_of(fid) == congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg), (i0, fid)
+
+
+def test_verify_thm1_fails_on_a_corrupted_family_row(c3, monkeypatch):
+    # the last family (identity, identity) is labelled as the first one
+    # (full, full): its image differs from the rest of its class
+    real = theorems._least_member_labels
+
+    def corrupt_last_row(product, class_ids, ultra):
+        labels = real(product, class_ids, ultra)
+        if len(labels) > 1:
+            labels[-1] = labels[0]
+        return labels
+
+    monkeypatch.setattr(theorems, "_least_member_labels", corrupt_last_row)
+    report = verify_thm1([c3, c3], principal_ultrafilter(2, 0))
+    checks = {c.name: c for c in report.checks}
+    failed = [checks[name] for name in ("well-defined-on-classes", "injective-on-classes")
+              if not checks[name].passed]
+    assert not report.passed
+    assert failed
+    for check in failed:
+        assert check.witness["family_a"] != check.witness["family_b"]
 
 
 def test_verify_thm2_on_specific_families(c3, s2, by_name):
