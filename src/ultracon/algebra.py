@@ -329,7 +329,7 @@ class ProductAlgebra(Algebra):
             strides[i] = strides[i + 1] * factors[i + 1].size
         self.factors = factors
         self.strides = tuple(strides)
-        tables = _product_tables(factors, size, self.strides)
+        tables = _product_tables(factors, self.strides)
         name = " x ".join(f.name or f"A{i}" for i, f in enumerate(factors))
         super().__init__(sig, size, tables, name=name)
 
@@ -350,19 +350,29 @@ class ProductAlgebra(Algebra):
         return tuple((element // s) % f.size for f, s in zip(self.factors, self.strides))
 
 
-def _product_tables(factors, size, strides):
-    sizes = [f.size for f in factors]
-    coords = _coordinate_vectors(sizes, strides, size)
+def _product_tables(factors, strides):
+    """Operation tables of the direct product of factors, one flat array each.
+
+    Each table is a mixed-radix recurrence folded over the factors left to
+    right: with m the size of the product of the factors so far and n the
+    next factor's size, the product element x * n + c has coordinates x in
+    the product so far and c in the next factor, so the new table at
+    (x1 * n + c1, ..., xk * n + ck) is acc[x] * n + local[c].  One
+    broadcast pass per factor builds it, with no gather index.
+    """
     tables = {}
     for sym, arity in factors[0].signature.symbols:
         if arity == 0:
             value = sum(s * f.table(sym)[0] for f, s in zip(factors, strides))
             tables[sym] = (value,)
             continue
-        acc = np.zeros((size,) * arity, dtype=np.int64)
-        for i, f in enumerate(factors):
-            local = f.table_array(sym).reshape((f.size,) * arity)
-            acc += strides[i] * local[np.ix_(*([coords[i]] * arity))]
+        acc = np.zeros(1, dtype=np.int64)
+        m = 1
+        for f in factors:
+            n = f.size
+            local = f.table_array(sym)
+            acc = (acc.reshape((m, 1) * arity) * n + local.reshape((1, n) * arity)).reshape((m * n,) * arity)
+            m *= n
         tables[sym] = acc.ravel()
     return tables
 
@@ -375,6 +385,19 @@ def _direct_product_cached(factors, max_size):
 def direct_product(factors, max_size: int = DEFAULT_SIZE_GUARD) -> ProductAlgebra:
     """Direct product of same-signature algebras; repeated calls are cached."""
     return _direct_product_cached(tuple(factors), max_size)
+
+
+def _take_each_axis(table, size, arity, index):
+    """Flat table[index[x1], ..., index[xk]] over all tuples of positions of index.
+
+    table is the flat table of a k-ary operation on a carrier of the given
+    size.  One take per axis gathers the whole table along that axis, so
+    no len(index)**k array of indices is built.
+    """
+    picked = table.reshape((size,) * arity)
+    for axis in range(arity):
+        picked = picked.take(index, axis=axis)
+    return picked.ravel()
 
 
 class QuotientAlgebra(Algebra):
@@ -402,9 +425,8 @@ class QuotientAlgebra(Algebra):
             if arity == 0:
                 tables[sym] = (proj[parent.table(sym)[0]],)
                 continue
-            full = parent.table_array(sym).reshape((parent.size,) * arity)
-            picked = full[np.ix_(*([reps_arr] * arity))]
-            tables[sym] = proj_arr[picked].ravel()
+            picked = _take_each_axis(parent.table_array(sym), parent.size, arity, reps_arr)
+            tables[sym] = proj_arr[picked]
         name = f"{parent.name}/~" if parent.name else ""
         super().__init__(parent.signature, len(reps), tables, name=name)
         self.parent = parent
@@ -448,13 +470,7 @@ def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
             if h.image[src_table[0]] != tgt_table[0]:
                 return False
             continue
-        lhs = img[src_table]
-        idx = np.zeros((source.size,) * arity, dtype=np.int64)
-        for pos in range(arity):
-            shape = [1] * arity
-            shape[pos] = source.size
-            idx = idx * target.size + img.reshape(shape)
-        if not np.array_equal(lhs, tgt_table[idx.ravel()]):
+        if not np.array_equal(img[src_table], _take_each_axis(tgt_table, target.size, arity, img)):
             return False
     return True
 

@@ -60,7 +60,7 @@ from .constructions import (
     product_congruence,
     ultraproduct,
 )
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError
 from .iso import find_isomorphism
 from .ultrafilter import UltrafilterD, mask_elements
 
@@ -558,8 +558,12 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
         )
     checks.append(Check("induced-map-is-isomorphism", iso_ok))
 
-    search = find_isomorphism(inner, quot_ultra)
-    checks.append(Check("independent-isomorphism-search", search.found))
+    search_witness = None
+    try:
+        found = find_isomorphism(inner, quot_ultra).found
+    except SizeGuardError as exc:
+        found, search_witness = False, {"reason": str(exc)}
+    checks.append(Check("independent-isomorphism-search", found, search_witness))
 
     instance = {
         "factors": [{"name": f.name, "size": f.size} for f in factors],

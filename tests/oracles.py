@@ -51,6 +51,33 @@ def naive_first_violation(algebra, labels):
     return None
 
 
+def naive_product_table(product, sym):
+    """Flat table of sym on a direct product, one argument tuple at a time.
+
+    Each argument is a tuple of coordinates; the result applies sym in
+    every factor and encodes the coordinates it gets.
+    """
+    factors = product.factors
+    arity = product.signature.arity(sym)
+    elements = list(iter_product(*(range(f.size) for f in factors)))
+    table = [None] * product.size**arity
+    for args in iter_product(elements, repeat=arity):
+        flat = 0
+        for x in args:
+            flat = flat * product.size + product.encode(x)
+        table[flat] = product.encode(f.apply(sym, [x[i] for x in args]) for i, f in enumerate(factors))
+    return table
+
+
+def naive_is_homomorphism(h, source, target) -> bool:
+    """h(f(x1..xk)) == f(h(x1)..h(xk)) for every symbol and argument tuple."""
+    for sym, arity in source.signature.symbols:
+        for args in iter_product(range(source.size), repeat=arity):
+            if h[source.apply(sym, args)] != target.apply(sym, [h[a] for a in args]):
+                return False
+    return True
+
+
 def relation_matrix(partition):
     n = partition.size
     return [[partition.relates(a, b) for b in range(n)] for a in range(n)]

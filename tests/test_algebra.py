@@ -345,6 +345,21 @@ def test_product_tables_stay_within_bytes_per_entry(z3):
     assert peak / entries <= 24
 
 
+def test_is_homomorphism_stays_within_bytes_per_entry(z3):
+    prod = direct_product((z3,) * 6)
+    first = ElemMap(prod.size, z3.size, [prod.decode(x)[0] for x in range(prod.size)])
+    is_homomorphism(ElemMap.identity(z3.size), z3, z3)  # warm up numpy before tracing
+    tracemalloc.start()
+    try:
+        assert is_homomorphism(first, prod, z3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = len(prod.table_array("op"))
+    assert entries == 729**2
+    assert peak / entries <= 20
+
+
 def test_json_round_trip_of_built_algebras(tmp_path, s2, c3):
     prod = direct_product([s2, c3])
     built = [prod] + [quotient(prod, theta) for theta in list(con_lattice(prod))[1:3]]

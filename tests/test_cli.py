@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ultracon import load_algebra, save_algebra
+from ultracon import load_algebra, make_algebra, save_algebra
 from ultracon.cli import main
 from ultracon.corpus import corpus_by_name
 
@@ -129,6 +129,20 @@ def test_verify_thm2_command(files, capsys):
             "--ultrafilter", "principal:0"]
     assert main(argv) == 0
     assert "thm2: PASS" in capsys.readouterr().out
+
+
+def test_verify_thm2_past_the_search_guard_fails_with_a_report(capsys, tmp_path):
+    chain = make_algebra([("op", 2)], 13, {"op": [min(a, b) for a in range(13) for b in range(13)]}, "C13")
+    path, report = tmp_path / "c13.json", tmp_path / "r.json"
+    save_algebra(chain, path)
+    argv = ["verify", "thm2", "--factors", str(path), "--sigma", str([[a] for a in range(13)]),
+            "--ultrafilter", "principal:0", "--report", str(report)]
+    assert main(argv) == 1
+    assert "thm2: FAIL" in capsys.readouterr().out
+    checks = {c["name"]: c for c in json.loads(report.read_bytes())["checks"]}
+    assert checks["independent-isomorphism-search"]["witness"] == {
+        "reason": "carriers 13, 13 exceed the search guard 12"
+    }
 
 
 def test_verify_argument_errors(files, capsys):

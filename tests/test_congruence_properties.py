@@ -26,11 +26,13 @@ PROPERTY = settings(max_examples=250, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def algebras(draw, max_size=4):
-    """Carriers of 1 to max_size elements, one to three operations of arity 0-3."""
+def algebras(draw, max_size=4, signature=None):
+    """Carriers of 1 to max_size elements with the given signature, or with
+    one to three operations of arity 0-3."""
     n = draw(st.integers(1, max_size))
-    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    signature = [(f"f{i}", k) for i, k in enumerate(arities)]
+    if signature is None:
+        arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        signature = [(f"f{i}", k) for i, k in enumerate(arities)]
     cells = st.integers(0, n - 1)
     tables = {sym: draw(st.lists(cells, min_size=n**k, max_size=n**k)) for sym, k in signature}
     return make_algebra(signature, n, tables)

@@ -18,6 +18,7 @@ from ultracon import (
     is_homomorphism,
     join_of_meets,
     kernel,
+    make_algebra,
     natural_embedding,
     principal_ultrafilter,
     product_congruence,
@@ -213,6 +214,17 @@ def test_verify_thm2_fails_on_wrong_generator(c3, monkeypatch):
     assert not ker_check.passed
     assert len(ker_check.witness["pair"]) == 2
     assert ker_check.witness["definition_relates"] != ker_check.witness["product_congruence_relates"]
+
+
+def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
+    chain = make_algebra([("op", 2)], 13, {"op": [min(a, b) for a in range(13) for b in range(13)]}, "C13")
+    report = verify_thm2(CongruenceFamily.identities([chain]), principal_ultrafilter(1, 0))
+    checks = {c.name: c for c in report.checks}
+    search = checks.pop("independent-isomorphism-search")
+    assert not report.passed
+    assert not search.passed
+    assert search.witness == {"reason": "carriers 13, 13 exceed the search guard 12"}
+    assert all(c.passed for c in checks.values())
 
 
 def test_natural_embedding_properties(corpus):
