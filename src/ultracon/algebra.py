@@ -14,6 +14,7 @@ member of the congruence classes.
 """
 
 import json
+import math
 import zlib
 from functools import lru_cache
 from types import MappingProxyType
@@ -319,17 +320,13 @@ class ProductAlgebra(Algebra):
                     f"factor {i} has signature {f.signature!r}, expected {sig!r}; "
                     "all factors of a product must share one signature"
                 )
-        size = 1
-        for f in factors:
-            size *= f.size
+        sizes = [f.size for f in factors]
+        size = math.prod(sizes)
         if size > max_size:
             raise SizeGuardError(f"product carrier would have {size} elements, guard is {max_size}")
-        strides = [1] * len(factors)
-        for i in range(len(factors) - 2, -1, -1):
-            strides[i] = strides[i + 1] * factors[i + 1].size
         self.factors = factors
-        self.strides = tuple(strides)
-        tables = _product_tables(factors, self.strides)
+        self.strides = _strides(sizes)
+        tables = _product_tables(sig.symbols, sizes, [f.tables for f in factors])
         name = " x ".join(f.name or f"A{i}" for i, f in enumerate(factors))
         super().__init__(sig, size, tables, name=name)
 
@@ -350,31 +347,30 @@ class ProductAlgebra(Algebra):
         return tuple((element // s) % f.size for f, s in zip(self.factors, self.strides))
 
 
-def _product_tables(factors, strides):
-    """Operation tables of the direct product of factors, one flat array each.
+def _strides(sizes) -> tuple:
+    """Mixed-radix strides over sizes, coordinate 0 most significant."""
+    return tuple(math.prod(sizes[i + 1:]) for i in range(len(sizes)))
 
-    Each table is a mixed-radix recurrence folded over the factors left to
-    right: with m the size of the product of the factors so far and n the
-    next factor's size, the product element x * n + c has coordinates x in
-    the product so far and c in the next factor, so the new table at
-    (x1 * n + c1, ..., xk * n + ck) is acc[x] * n + local[c].  One
-    broadcast pass per factor builds it, with no gather index.
+
+def _product_tables(symbols, sizes, tables):
+    """Tables of a direct product: one flat array for each (symbol, arity) in symbols.
+
+    tables[i] maps each symbol to its table on factor i, of sizes[i]
+    elements.  Each table is a mixed-radix recurrence folded over the
+    factors left to right: with m the size of the product so far and n the
+    next factor's size, element x * n + c has coordinates x and c, so the
+    table at (x1 * n + c1, ..., xk * n + ck) is acc[x] * n + local[c], one
+    broadcast pass per factor and no gather index (arity 0 included).
     """
-    tables = {}
-    for sym, arity in factors[0].signature.symbols:
-        if arity == 0:
-            value = sum(s * f.table(sym)[0] for f, s in zip(factors, strides))
-            tables[sym] = (value,)
-            continue
+    out = {}
+    for sym, arity in symbols:
         acc = np.zeros(1, dtype=np.int64)
         m = 1
-        for f in factors:
-            n = f.size
-            local = f.table_array(sym)
-            acc = (acc.reshape((m, 1) * arity) * n + local.reshape((1, n) * arity)).reshape((m * n,) * arity)
+        for n, local in zip(sizes, tables):
+            acc = (acc.reshape((m, 1) * arity) * n + local[sym].reshape((1, n) * arity)).reshape((m * n,) * arity)
             m *= n
-        tables[sym] = acc.ravel()
-    return tables
+        out[sym] = acc.ravel()
+    return out
 
 
 @lru_cache(maxsize=512)

@@ -80,6 +80,11 @@ def _check_index_match(count: int, ultra: UltrafilterD) -> None:
         )
 
 
+def _core(ultra: UltrafilterD) -> list:
+    """Indices of the filter's least member S, the intersection of its members."""
+    return mask_elements(reduce(and_, ultra.members))
+
+
 def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD) -> np.ndarray:
     """Least-member class ids of the relations {(x, y) : {i : x_i ~ y_i} in ultra}.
 
@@ -92,7 +97,7 @@ def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD
     least member has the least members of those classes at S and 0
     elsewhere.  That is O(F * |P| * |S|) work, with no |P| x |P| array.
     """
-    core = mask_elements(reduce(and_, ultra.members))
+    core = _core(ultra)
     sizes = [product.factors[i].size for i in core]
     strides = [product.strides[i] for i in core]
     label = np.zeros((len(class_ids[0]), product.size), dtype=np.int64)

@@ -23,16 +23,18 @@ witnesses; the report passes iff every check passed.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
-    DEFAULT_SIZE_GUARD,
     Algebra,
     ElemMap,
     _coordinate_vectors,
+    _product_tables,
+    _strides,
     direct_product,
     is_homomorphism,
     kernel,
@@ -45,7 +47,6 @@ from .congruence import (
     _as_congruence,
     _congruence_violations,
     _not_a_congruence,
-    con_as_algebra,
     con_lattice_of,
     format_partition,
 )
@@ -53,6 +54,7 @@ from .constructions import (
     CongruenceFamily,
     UltraproductAlgebra,
     _carried_down,
+    _core,
     _least_member_labels,
     _not_refined,
     _unrefined,
@@ -120,7 +122,6 @@ def _ultra_text(ultra: UltrafilterD) -> list:
 
 def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD,
                                ultra_alg: UltraproductAlgebra | None = None,
-                               max_size: int = DEFAULT_SIZE_GUARD,
                                theta: Congruence | None = None) -> Congruence:
     """The family's product congruence carried down to the ultraproduct.
 
@@ -130,39 +131,36 @@ def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD,
     the family's product congruence passes it as theta.
     """
     if ultra_alg is None:
-        ultra_alg = ultraproduct(family.factors, ultra, max_size)
+        ultra_alg = ultraproduct(family.factors, ultra)
     if theta is None:
-        theta = product_congruence(family, ultra, max_size)
+        theta = product_congruence(family, ultra)
     return induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
 
 
-def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD,
-                                max_size: int = DEFAULT_SIZE_GUARD) -> ElemMap:
+def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD) -> ElemMap:
     """Product element -> class of its tuple of per-factor congruence classes.
 
     Maps the direct product of the factors onto the ultraproduct of the
     factor quotients (theorem 2's homomorphism).
     """
     factors = family.factors
-    prod = direct_product(factors, max_size)
-    quots = tuple(quotient(f, c, max_size) for f, c in zip(factors, family.choice))
-    quot_prod = direct_product(quots, max_size)
-    quot_ultra = ultraproduct(quots, ultra, max_size)
+    prod = direct_product(factors)
+    quots = tuple(quotient(f, c) for f, c in zip(factors, family.choice))
+    quot_ultra = ultraproduct(quots, ultra)
     sizes = [f.size for f in factors]
     index = np.zeros(prod.size, dtype=np.int64)
-    for i, (q, coords) in enumerate(zip(quots, _coordinate_vectors(sizes, prod.strides, prod.size))):
-        proj = np.asarray(q.projection.image, dtype=np.int64)
-        index += proj[coords] * quot_prod.strides[i]
+    for q, coords, stride in zip(quots, _coordinate_vectors(sizes, prod.strides, prod.size),
+                                 quot_ultra.product.strides):
+        index += np.asarray(q.projection.image, dtype=np.int64)[coords] * stride
     final = np.asarray(quot_ultra.projection.image, dtype=np.int64)[index]
     return ElemMap(prod.size, quot_ultra.size, final.tolist())
 
 
 def natural_embedding(algebra: Algebra, ultra: UltrafilterD,
-                      ultra_alg: UltraproductAlgebra | None = None,
-                      max_size: int = DEFAULT_SIZE_GUARD) -> ElemMap:
+                      ultra_alg: UltraproductAlgebra | None = None) -> ElemMap:
     """a -> class of the constant tuple (a, ..., a) in the ultrapower."""
     if ultra_alg is None:
-        ultra_alg = ultraproduct((algebra,) * ultra.n, ultra, max_size)
+        ultra_alg = ultraproduct((algebra,) * ultra.n, ultra)
     if ultra_alg.factors != (algebra,) * ultra.n:
         raise ValidationError("supplied ultraproduct is not an ultrapower of this algebra")
     image = [ultra_alg.projection[ultra_alg.product.encode((a,) * ultra.n)] for a in algebra.elements]
@@ -179,9 +177,7 @@ def _validated_sigmas(algebra: Algebra, sigmas, ultra: UltrafilterD) -> tuple:
 
 def _family_ids(lattice_sizes, exhaustive_limit: int, sample_size: int, rng: random.Random):
     """(family ids to check, family count): every id up to exhaustive_limit, else a seeded sample."""
-    total = 1
-    for k in lattice_sizes:
-        total *= k
+    total = math.prod(lattice_sizes)
     if total <= exhaustive_limit:
         return list(range(total)), total
     return sorted(rng.sample(range(total), min(sample_size, total))), total
@@ -189,11 +185,8 @@ def _family_ids(lattice_sizes, exhaustive_limit: int, sample_size: int, rng: ran
 
 def _family_from_id(fid: int, factors, lattices) -> CongruenceFamily:
     """Decode a family id, mixed radix over the lattice sizes with coordinate 0 most significant."""
-    choice = []
-    for lat in reversed(lattices):
-        fid, idx = divmod(fid, len(lat))
-        choice.append(lat[idx])
-    return CongruenceFamily(factors, tuple(reversed(choice)))
+    strides = _strides([len(lat) for lat in lattices])
+    return CongruenceFamily(factors, [lat[fid // s % len(lat)] for lat, s in zip(lattices, strides)])
 
 
 def diagonal_restriction(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
@@ -295,10 +288,10 @@ class _FamilyImages:
     and number maps each family id computed so far to its image's position.
     """
 
-    def __init__(self, ultra_alg: UltraproductAlgebra, lattices, fam_prod):
+    def __init__(self, ultra_alg: UltraproductAlgebra, lattices):
         self.ultra_alg = ultra_alg
         self.sizes = [len(lat) for lat in lattices]
-        self.strides = fam_prod.strides
+        self.strides = _strides(self.sizes)
         self.class_ids = [np.array([c.class_id for c in lat], dtype=np.int64) for lat in lattices]
         self.images = []
         self.index = {}
@@ -309,6 +302,20 @@ class _FamilyImages:
         if fid not in self.number:
             self.add([fid])
         return self.images[self.number[fid]]
+
+    def class_reps(self, fids) -> np.ndarray:
+        """The least family id almost everywhere equal to each of fids: its
+        coordinates on the filter's least member, 0 elsewhere.  For grouping
+        and pairing families only; no image is ever shared through it."""
+        fids = np.asarray(fids, dtype=np.int64)
+        return sum(fids // self.strides[i] % self.sizes[i] * self.strides[i]
+                   for i in _core(self.ultra_alg.ultrafilter))
+
+    def combine(self, tables, s, t) -> np.ndarray:
+        """Ids of the families op(s_i, t_i) for the id pairs of s and t, where
+        tables[i] is op's (k_i, k_i) index table on lattice i."""
+        s, t = (_coordinate_vectors(self.sizes, self.strides, ids) for ids in (s, t))
+        return sum(tab[a, b] * stride for tab, a, b, stride in zip(tables, s, t, self.strides))
 
     def add(self, fids) -> None:
         """Compute the images of the families in fids that have none yet."""
@@ -351,31 +358,27 @@ class _FamilyImages:
 
 
 def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
-                exhaustive_limit: int = EXHAUSTIVE_LIMIT, sample_size: int = SAMPLE_SIZE,
-                max_size: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
+                exhaustive_limit: int = EXHAUSTIVE_LIMIT, sample_size: int = SAMPLE_SIZE) -> VerificationReport:
     """Check the embedding theorem on one instance.
 
-    Families of per-factor congruences are identified with elements of the
-    direct product of the factor congruence semilattices; the ultraproduct
-    of those semilattices supplies the almost-everywhere-equal classes.
-    Exhaustive over all families when there are at most exhaustive_limit,
-    otherwise a seeded sample.
+    Families of per-factor congruences are mixed-radix ids over the factor
+    congruence lattices; their almost-everywhere classes, meets and joins
+    are read off the ids (_FamilyImages), with no algebra over the family
+    space.  Exhaustive over all families when there are at most
+    exhaustive_limit, otherwise a seeded sample.
     """
     factors = tuple(factors)
-    ultra_alg = ultraproduct(factors, ultra, max_size)
-    lattices = [con_lattice_of(f, max_size) for f in factors]
-    con_algs = tuple(con_as_algebra(lat) for lat in lattices)
-    fam_prod = direct_product(con_algs, max_size)
-    fam_ultra = ultraproduct(con_algs, ultra, max_size)
+    ultra_alg = ultraproduct(factors, ultra)
+    lattices = [con_lattice_of(f) for f in factors]
     sizes = [len(lat) for lat in lattices]
     rng = random.Random(seed)
     fam_ids, total = _family_ids(sizes, exhaustive_limit, sample_size, rng)
     exhaustive = total <= exhaustive_limit
+    image_of = _FamilyImages(ultra_alg, lattices)
 
     if not exhaustive:
         # make sure each sampled family can be compared with its class twin
-        fam_ids = sorted(set(fam_ids) | {fam_ultra.class_reps[fam_ultra.projection[s]] for s in fam_ids})
-    image_of = _FamilyImages(ultra_alg, lattices, fam_prod)
+        fam_ids = sorted(set(fam_ids) | set(image_of.class_reps(fam_ids).tolist()))
     image_of.add(fam_ids)
     number = image_of.number
 
@@ -387,8 +390,8 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     # well-definedness: families in one almost-everywhere class share an image
     wd_witness = None
     by_class: dict = {}
-    for fid in fam_ids:
-        by_class.setdefault(fam_ultra.projection[fid], []).append(fid)
+    for fid, rep in zip(fam_ids, image_of.class_reps(fam_ids).tolist()):
+        by_class.setdefault(rep, []).append(fid)
     for cls, members in by_class.items():
         rep = members[0]
         for fid in members[1:]:
@@ -422,7 +425,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
 
     # meet preservation: image of the coordinatewise meet is the meet of images
     meet_witness = None
-    fam_meet = fam_prod.table_array(con_algs[0].signature.names[0])
+    meets = [lat.meet_table() for lat in lattices]
     if exhaustive:
         parts = image_of.images
         key = np.array([number[fid] for fid in range(total)], dtype=np.int64)
@@ -432,6 +435,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
             for j in range(i, r):
                 m = parts[i].meet(parts[j])
                 meet_of_images[i, j] = meet_of_images[j, i] = image_of.index.get(m.class_id, -1)
+        fam_meet = _product_tables([("meet", 2)], sizes, [{"meet": m} for m in meets])["meet"]
         expected = key[fam_meet]
         actual = meet_of_images[np.ix_(key, key)].ravel()
         bad = np.flatnonzero(expected != actual)
@@ -446,7 +450,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
             }
     else:
         pairs = [(rng.choice(fam_ids), rng.choice(fam_ids)) for _ in range(sample_size)]
-        mids = fam_meet[[s * total + t for s, t in pairs]].tolist()
+        mids = image_of.combine(meets, [s for s, _ in pairs], [t for _, t in pairs]).tolist()
         image_of.add(mids)
         for (s, t), mid in zip(pairs, mids):
             if image_of(mid) != image_of(s).meet(image_of(t)):
@@ -462,9 +466,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     # joins are not asserted by the theorem; report them as information
     reps = np.array(sorted(members[0] for members in by_class.values())[:64], dtype=np.int64)
     first, second = np.triu_indices(len(reps))
-    jids = sum(lat.join_table()[c[first], c[second]] * stride
-               for lat, c, stride in zip(lattices, _coordinate_vectors(sizes, fam_prod.strides, reps),
-                                         fam_prod.strides)).tolist()
+    jids = image_of.combine([lat.join_table() for lat in lattices], reps[first], reps[second]).tolist()
     image_of.add(jids)
     join_bad = sum(image_of(jid) != image_of(s).join(image_of(t))
                    for s, t, jid in zip(reps[first].tolist(), reps[second].tolist(), jids))
@@ -488,15 +490,14 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     return VerificationReport("thm1", instance, tuple(checks), info)
 
 
-def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
-                max_size: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
+def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationReport:
     """Check the quotient-transfer theorem on one family."""
     factors = family.factors
-    prod = direct_product(factors, max_size)
-    ultra_alg = ultraproduct(factors, ultra, max_size)
-    quots = tuple(quotient(f, c, max_size) for f, c in zip(factors, family.choice))
-    quot_ultra = ultraproduct(quots, ultra, max_size)
-    cmap = coordinatewise_quotient_map(family, ultra, max_size)
+    prod = direct_product(factors)
+    ultra_alg = ultraproduct(factors, ultra)
+    quots = tuple(quotient(f, c) for f, c in zip(factors, family.choice))
+    quot_ultra = ultraproduct(quots, ultra)
+    cmap = coordinatewise_quotient_map(family, ultra)
 
     checks = []
 
@@ -506,20 +507,20 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
     checks.append(Check("coordinatewise-map-is-surjective", surj_ok))
 
     ker = kernel(cmap)
-    theta = product_congruence(family, ultra, max_size)
+    theta = product_congruence(family, ultra)
     ker_witness = None
     if ker.class_id != theta.class_id:
-        for a in range(prod.size):
-            for b in range(prod.size):
-                if ker.relates(a, b) != theta.relates(a, b):
-                    ker_witness = {
-                        "pair": [list(prod.decode(a)), list(prod.decode(b))],
-                        "kernel_relates": ker.relates(a, b),
-                        "product_congruence_relates": theta.relates(a, b),
-                    }
-                    break
-            if ker_witness:
-                break
+        # row a holds a mismatch iff a's kernel class, theta class and their meet differ in size
+        k, t = (np.asarray(p.class_id, dtype=np.int64) for p in (ker, theta))
+        _, joint, both = np.unique(k * k.size + t, return_inverse=True, return_counts=True)
+        ksize, tsize = np.bincount(k)[k], np.bincount(t)[t]
+        a = int(np.argmin((both[joint] == ksize) & (ksize == tsize)))
+        b = int(np.argmax((k == k[a]) != (t == t[a])))
+        ker_witness = {
+            "pair": [list(prod.decode(a)), list(prod.decode(b))],
+            "kernel_relates": ker.relates(a, b),
+            "product_congruence_relates": theta.relates(a, b),
+        }
     else:
         # the kernel and theta can share a fault (both come from the same
         # labelling), so also hold theta against its definition
@@ -534,9 +535,8 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
     checks.append(Check("kernel-is-product-congruence", ker_witness is None, ker_witness))
 
     # factor the map through ultraproduct / transferred congruence
-    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg,
-                                             max_size=max_size, theta=theta)
-    inner = quotient(ultra_alg, transferred, max_size)
+    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg, theta=theta)
+    inner = quotient(ultra_alg, transferred)
     induced = [-1] * inner.size
     factor_witness = None
     for p in range(prod.size):
@@ -579,8 +579,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD, *,
     return VerificationReport("thm2", instance, tuple(checks), info)
 
 
-def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD, *,
-                max_size: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
+def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationReport:
     """Check the ultrapower-restriction theorem on one family."""
     sigmas = _validated_sigmas(algebra, sigmas, ultra)
     checks = []
@@ -627,13 +626,13 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD, *,
     checks.append(Check("join-of-meets-equals-union", join_witness is None, join_witness))
 
     # pull the transferred congruence back along the natural embedding
-    power = ultraproduct((algebra,) * ultra.n, ultra, max_size)
-    embed = natural_embedding(algebra, ultra, ultra_alg=power, max_size=max_size)
+    power = ultraproduct((algebra,) * ultra.n, ultra)
+    embed = natural_embedding(algebra, ultra, ultra_alg=power)
     embed_ok = embed.is_injective() and is_homomorphism(embed, algebra, power)
     checks.append(Check("natural-embedding-is-injective-homomorphism", embed_ok))
 
     family = CongruenceFamily((algebra,) * ultra.n, sigmas)
-    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=power, max_size=max_size)
+    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=power)
     pulled = Partition([transferred.class_id[embed[a]] for a in algebra.elements])
     pull_witness = None
     if not np.array_equal(pulled.to_matrix(), restr_matrix):

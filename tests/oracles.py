@@ -10,6 +10,16 @@ from itertools import product as iter_product
 import numpy as np
 
 
+class UpSet:
+    """Test-only stand-in for the filter of index sets containing `core`
+    (a bitmask), with the two attributes the labeller and the oracle read.
+    A proper filter when core has two or more indices, not an ultrafilter."""
+
+    def __init__(self, n, core):
+        self.n = n
+        self.members = tuple(m for m in range(1 << n) if m & core == core)
+
+
 def naive_relates(labels, a, b):
     return labels[a] == labels[b]
 
@@ -76,6 +86,17 @@ def naive_is_homomorphism(h, source, target) -> bool:
             if h[source.apply(sym, args)] != target.apply(sym, [h[a] for a in args]):
                 return False
     return True
+
+
+def naive_first_mismatch(p, q):
+    """First pair (a, b) in row-major order that one partition relates and
+    the other does not, or None."""
+    n = p.size
+    for a in range(n):
+        for b in range(n):
+            if p.relates(a, b) != q.relates(a, b):
+                return a, b
+    return None
 
 
 def relation_matrix(partition):

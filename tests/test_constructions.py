@@ -21,7 +21,7 @@ from ultracon import (
 from ultracon import constructions
 from ultracon.congruence import parse_partition
 
-from oracles import definitional_product_matrix, naive_product_relates
+from oracles import UpSet, definitional_product_matrix, naive_product_relates
 
 
 def test_family_validation(c3, s2):
@@ -101,16 +101,6 @@ def test_dstar_and_product_congruence_match_definition_on_mixed_product(s2, c3):
                     want = naive_product_relates(
                         factors, sigmas, member_sets, prod.decode(x), prod.decode(y))
                     assert theta.relates(x, y) == want
-
-
-class UpSet:
-    """Test-only stand-in for the filter of index sets containing `core`
-    (a bitmask), with the two attributes the labeller and the oracle read.
-    A proper filter, not an ultrafilter: its least member has two indices."""
-
-    def __init__(self, n, core):
-        self.n = n
-        self.members = tuple(m for m in range(1 << n) if m & core == core)
 
 
 def test_stacked_labels_match_definition_on_two_coordinate_core(s2, c3):

@@ -68,12 +68,17 @@ def test_verify_thm1_sampled_digest(by_name):
     ("thm1", "074b0d68282184c7be7a27837e4642612fab80afb6298e0c2657d395955659e0"),
     ("thm2", "0881ae7f0412f186abe73a5a6617d94e5a4efeac8973efac8f634ac806d5b00c"),
     ("thm3", "aefb9cc1da6e601e2cf04aaf7bfe75f07501ea22eeee8493d2f7ac72ca19eea2"),
+    # 32768 families: more than the size guard, so only ids may span them
+    ("thm1-c4x5", "4190e02d70a0da7a670c1703060d2ecde4566b5275c243c50de14501ff924d67"),
 ])
 def test_verify_report_file_digest(theorem, digest, by_name, tmp_path, capsys):
-    # the three `verify` instances of acceptance test 7, through the CLI
+    # the three `verify` instances of acceptance test 7, and a thm1 family
+    # space past the size guard, through the CLI
     c3 = tmp_path / "c3.json"
+    c4 = tmp_path / "c4.json"
     z6 = tmp_path / "z6.json"
     save_algebra(by_name["C3"], c3)
+    save_algebra(by_name["C4"], c4)
     save_algebra(by_name["Z6"], z6)
     argv = {
         "thm1": ["verify", "thm1", "--factors", str(c3), str(z6),
@@ -84,6 +89,8 @@ def test_verify_report_file_digest(theorem, digest, by_name, tmp_path, capsys):
         "thm3": ["verify", "thm3", "--algebra", str(z6),
                  "--sigma", "[[0,2,4],[1,3,5]]", "--sigma", "[[0,3],[1,4],[2,5]]",
                  "--ultrafilter", "principal:1", "--seed", "11"],
+        "thm1-c4x5": ["verify", "thm1", "--factors", *[str(c4)] * 5,
+                      "--ultrafilter", "principal:1", "--seed", "11"],
     }[theorem]
     report = tmp_path / "report.json"
     assert main(argv + ["--report", str(report)]) == 0

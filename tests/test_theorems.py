@@ -1,7 +1,10 @@
 import json
 import random
+import tracemalloc
+from itertools import product as iter_product
 from math import prod
 
+import numpy as np
 import pytest
 
 from ultracon import (
@@ -30,8 +33,10 @@ from ultracon import (
     verify_thm3,
 )
 from ultracon import constructions, theorems
-from ultracon.algebra import _quotient_cached
+from ultracon.algebra import DEFAULT_SIZE_GUARD, _quotient_cached
 from ultracon.congruence import con_as_algebra, con_lattice_of, format_partition, parse_partition
+
+from oracles import UpSet, definitional_product_matrix, naive_first_mismatch
 
 
 def sigma_a(size=3):
@@ -121,7 +126,6 @@ def test_batched_images_match_one_family_at_a_time(names, exhaustive_limit, by_n
     # sampled mode's meet and join ids do
     factors = tuple(by_name[n] for n in names)
     lattices = [con_lattice_of(f) for f in factors]
-    fam_prod = direct_product(tuple(con_as_algebra(lat) for lat in lattices))
     fam_ids, total = theorems._family_ids([len(lat) for lat in lattices], exhaustive_limit, 8,
                                           random.Random(5))
     assert total == prod(len(lat) for lat in lattices)
@@ -129,11 +133,55 @@ def test_batched_images_match_one_family_at_a_time(names, exhaustive_limit, by_n
     for i0 in range(len(factors)):
         ultra = principal_ultrafilter(len(factors), i0)
         ultra_alg = ultraproduct(factors, ultra)
-        image_of = theorems._FamilyImages(ultra_alg, lattices, fam_prod)
+        image_of = theorems._FamilyImages(ultra_alg, lattices)
         image_of.add(fam_ids)
         for fid in range(total):
             family = theorems._family_from_id(fid, factors, lattices)
             assert image_of(fid) == congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg), (i0, fid)
+
+
+@pytest.mark.parametrize("filt", [UpSet(3, 0b101), UpSet(3, 0b010)]
+                         + [principal_ultrafilter(3, i0) for i0 in range(3)],
+                         ids=["up02", "up1", "principal0", "principal1", "principal2"])
+def test_family_class_reps_and_combine_match_the_family_space_algebra(filt, s2, c3):
+    # the family space as an algebra, the direct product of the congruence
+    # meet-semilattices, with almost-everywhere equality from the definition
+    factors = (s2, c3, s2)
+    lattices = [con_lattice_of(f) for f in factors]
+    fam_prod = direct_product(tuple(con_as_algebra(lat) for lat in lattices))
+    image_of = theorems._FamilyImages(ultraproduct(factors, filt), lattices)
+    ids = np.arange(fam_prod.size)
+    agree = definitional_product_matrix(fam_prod, [np.eye(len(lat), dtype=bool) for lat in lattices], filt)
+    assert image_of.class_reps(ids).tolist() == agree.argmax(axis=1).tolist()
+    s, t = np.divmod(np.arange(fam_prod.size ** 2), fam_prod.size)
+    meets = image_of.combine([lat.meet_table() for lat in lattices], s, t)
+    assert meets.tolist() == fam_prod.table_array("meet").tolist()
+
+
+def test_verify_thm1_memory_stays_off_the_family_space(by_name):
+    # 4800 families over a 576-element product: any table over the family
+    # space would hold 4800^2 entries, 184 MB at 8 bytes each
+    c4, lz3, z4 = by_name["C4"], by_name["LZ3"], by_name["Z4"]
+    factors = (c4, c4, lz3, lz3, z4)
+    ultra = principal_ultrafilter(5, 2)
+    ultraproduct(factors, ultra)
+    for f in factors:
+        con_lattice_of(f)
+    tracemalloc.start()
+    try:
+        report = verify_thm1(factors, ultra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instance["family_count"] == 4800
+    assert peak <= 64 * 2**20
+
+
+def test_verify_thm1_family_count_is_not_bounded_by_the_size_guard(c4):
+    report = verify_thm1((c4,) * 5, principal_ultrafilter(5, 1))
+    assert report.passed
+    assert report.instance["mode"] == "sampled"
+    assert report.instance["family_count"] == 32768 > DEFAULT_SIZE_GUARD
 
 
 def test_verify_thm1_fails_on_a_corrupted_family_row(c3, monkeypatch):
@@ -214,6 +262,44 @@ def test_verify_thm2_fails_on_wrong_generator(c3, monkeypatch):
     assert not ker_check.passed
     assert len(ker_check.witness["pair"]) == 2
     assert ker_check.witness["definition_relates"] != ker_check.witness["product_congruence_relates"]
+
+
+@pytest.mark.parametrize("names", [("C3", "C3"), ("S2", "C3", "S2"), ("Z4", "Z2")])
+def test_kernel_check_names_the_first_mismatched_pair(names, by_name, monkeypatch):
+    # a kernel that differs from the product congruence gives FAIL, with the
+    # first row-major pair on which the two disagree as the witness
+    factors = [by_name[n] for n in names]
+    fakes = [
+        lambda h: Partition.full(h.source_size),
+        lambda h: Partition.identity(h.source_size),
+        lambda h: Partition(h.image[1:] + h.image[:1]),
+    ]
+    prod_alg = direct_product(factors)
+    failed = 0
+    for choice in iter_product(*(list(con_lattice(f)) for f in factors)):
+        fam = CongruenceFamily(factors, choice)
+        for i0 in range(len(factors)):
+            ultra = principal_ultrafilter(len(factors), i0)
+            theta = product_congruence(fam, ultra)
+            for fake in fakes:
+                ker = fake(coordinatewise_quotient_map(fam, ultra))
+                with monkeypatch.context() as patch:
+                    patch.setattr(theorems, "kernel", fake)
+                    report = verify_thm2(fam, ultra)
+                check = {c.name: c for c in report.checks}["kernel-is-product-congruence"]
+                mismatch = naive_first_mismatch(ker, theta)
+                if mismatch is None:
+                    assert check.passed
+                    continue
+                a, b = mismatch
+                failed += 1
+                assert not check.passed
+                assert check.witness == {
+                    "pair": [list(prod_alg.decode(a)), list(prod_alg.decode(b))],
+                    "kernel_relates": ker.relates(a, b),
+                    "product_congruence_relates": theta.relates(a, b),
+                }
+    assert failed
 
 
 def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
