@@ -134,7 +134,8 @@ class Algebra:
     integer-dtype numpy array.
     """
 
-    __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples", "_isos")
+    __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples", "_isos", "_congruences",
+                 "_iso_maps")
 
     def __init__(self, signature, size, tables, name: str = ""):
         if not isinstance(signature, Signature):
@@ -154,7 +155,10 @@ class Algebra:
         self.name = name
         self._hash = None
         self._tuples = {}
+        # Results that depend only on these immutable tables, kept with them:
         self._isos = {}  # find_isomorphism results from this algebra, by (target, guard)
+        self._congruences = set()  # class_id tuples validated as congruences (only passes)
+        self._iso_maps = {}  # is the map with this image an isomorphism, by (target, image)
 
     @property
     def elements(self) -> range:
@@ -300,6 +304,23 @@ def _coordinate_vectors(sizes, strides, elements):
     return [(base // strides[i]) % sizes[i] for i in range(len(sizes))]
 
 
+def _radix_sums(parts) -> np.ndarray:
+    """Row r, product element x: the sum over factors i of parts[i][r, x_i].
+
+    parts[i] is an (R, n_i) or (1, n_i) int64 array over factor i's
+    carrier, and x is mixed radix over the n_i, coordinate 0 most
+    significant.  Folded over the factors left to right as in
+    _product_tables: element x * n + c has coordinates x and c, so one
+    broadcast pass per factor builds the (R, prod n_i) result, with no
+    decode of the elements.
+    """
+    acc = np.zeros((1, 1), dtype=np.int64)
+    for part in parts:
+        acc = acc[:, :, None] + part[:, None, :]
+        acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2])
+    return acc
+
+
 class ProductAlgebra(Algebra):
     """Direct product of same-signature algebras, carrier mixed-radix encoded.
 
@@ -400,35 +421,35 @@ class QuotientAlgebra(Algebra):
     """Quotient of an algebra by a congruence.
 
     Classes are numbered by ascending least member; class_reps[c] is that
-    least member and projection maps each parent element to its class.
+    least member and projection maps each parent element to its class
+    (projection_array holds the same image as a read-only int64 array).
     """
 
-    __slots__ = ("parent", "congruence", "projection", "class_reps")
+    __slots__ = ("parent", "congruence", "projection", "projection_array", "class_reps")
 
     def __init__(self, parent: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD):
         from .congruence import _as_congruence
 
         congruence = _as_congruence(parent, congruence)
-        reps = sorted(set(congruence.class_id))
+        cid = np.asarray(congruence.class_id, dtype=np.int64)
+        is_rep = cid == np.arange(parent.size)
+        reps = np.flatnonzero(is_rep)
         if len(reps) > max_size:
             raise SizeGuardError(f"quotient carrier would have {len(reps)} elements, guard is {max_size}")
-        rank = {r: c for c, r in enumerate(reps)}
-        proj = tuple(rank[congruence.class_id[e]] for e in range(parent.size))
-        reps_arr = np.asarray(reps, dtype=np.int64)
-        proj_arr = np.asarray(proj, dtype=np.int64)
+        # a class's number is the count of least members below its own
+        proj = (np.cumsum(is_rep) - 1)[cid]
+        proj.setflags(write=False)
         tables = {}
         for sym, arity in parent.signature.symbols:
-            if arity == 0:
-                tables[sym] = (proj[parent.table(sym)[0]],)
-                continue
-            picked = _take_each_axis(parent.table_array(sym), parent.size, arity, reps_arr)
-            tables[sym] = proj_arr[picked]
+            picked = _take_each_axis(parent.table_array(sym), parent.size, arity, reps)
+            tables[sym] = proj[picked]
         name = f"{parent.name}/~" if parent.name else ""
         super().__init__(parent.signature, len(reps), tables, name=name)
         self.parent = parent
         self.congruence = congruence
-        self.projection = ElemMap(parent.size, len(reps), proj)
-        self.class_reps = tuple(reps)
+        self.projection = ElemMap(parent.size, len(reps), proj.tolist())
+        self.projection_array = proj
+        self.class_reps = tuple(reps.tolist())
 
 
 @lru_cache(maxsize=2048)

@@ -6,7 +6,6 @@ keys and no timestamps, so equal seeds give byte-identical output.
 """
 
 import argparse
-import json
 import sys
 
 from .algebra import (
@@ -28,7 +27,7 @@ from .sweeps import (
     sweep_thm2,
     sweep_thm3,
 )
-from .theorems import verify_thm1, verify_thm2, verify_thm3
+from .theorems import json_text, verify_thm1, verify_thm2, verify_thm3
 from .ultrafilter import enumerate_ultrafilters, parse_ultrafilter
 
 EPILOG = """\
@@ -58,7 +57,7 @@ def _write_or_print(text: str, out_path) -> None:
 
 
 def _dump_json(data, out_path) -> None:
-    _write_or_print(json.dumps(data, indent=2, sort_keys=True), out_path)
+    _write_or_print(json_text(data), out_path)
 
 
 def _cmd_con(args) -> int:

@@ -46,22 +46,27 @@ class Partition:
     """An equivalence relation on {0..size-1} in least-member canonical form.
 
     The constructor accepts any labelling (each equal label = one class)
-    and canonicalizes it, so Partition(p.class_id) == p always holds.
+    and canonicalizes it, so Partition(p.class_id) == p always holds.  A
+    1-D int64 array that is already canonical is taken as it is.
     """
 
-    __slots__ = ("size", "class_id", "_hash")
+    __slots__ = ("size", "class_id", "_hash", "_text")
 
     def __init__(self, labels):
-        labels = tuple(labels)
-        least = {}
-        cid = []
-        for e, lab in enumerate(labels):
-            if lab not in least:
-                least[lab] = e
-            cid.append(least[lab])
-        self.size = len(labels)
-        self.class_id = tuple(cid)
+        if isinstance(labels, np.ndarray) and labels.dtype == np.int64 and labels.ndim == 1 and _is_canonical(labels):
+            cid = tuple(labels.tolist())
+        else:
+            least = {}
+            cid = []
+            for e, lab in enumerate(tuple(labels)):
+                if lab not in least:
+                    least[lab] = e
+                cid.append(least[lab])
+            cid = tuple(cid)
+        self.size = len(cid)
+        self.class_id = cid
         self._hash = None
+        self._text = None
 
     @classmethod
     def identity(cls, size: int) -> "Partition":
@@ -195,9 +200,23 @@ class Partition:
         return f"Partition({format_partition(self)})"
 
 
+def _is_canonical(labels: np.ndarray) -> bool:
+    """Are the int64 labels least-member class ids already?
+
+    They are iff 0 <= labels[e] <= e and labels[labels[e]] == labels[e]
+    for every e: then labels[e] is in e's class and no member is smaller.
+    """
+    # viewed as uint64 a negative label is at least 2**63, so one test
+    # bounds both ends, and then labels[labels] stays in range
+    return bool((labels.view(np.uint64) <= np.arange(labels.size, dtype=np.uint64)).all()
+                and (labels[labels] == labels).all())
+
+
 def format_partition(p: Partition) -> str:
-    """Canonical text form: '[[0,1],[2]]', sorted, no spaces."""
-    return json.dumps([list(b) for b in p.blocks()], separators=(",", ":"))
+    """Canonical text form: '[[0,1],[2]]', sorted, no spaces; kept on p."""
+    if p._text is None:
+        p._text = "[" + ",".join("[" + ",".join(map(str, b)) + "]" for b in p.blocks()) + "]"
+    return p._text
 
 
 def parse_partition(text: str, size: int) -> Partition:
@@ -317,18 +336,25 @@ def is_congruence(algebra: Algebra, p: Partition) -> bool:
 
 
 class Congruence(Partition):
-    """A partition verified to be compatible with an algebra's operations."""
+    """A partition verified to be compatible with an algebra's operations.
+
+    Each algebra records the class_id of every partition that passed this
+    check on it, and a recorded one is not checked again: the outcome is
+    fixed by the algebra's immutable tables and the full class_id.  Only
+    passes are recorded, so a non-congruence fails every time.
+    """
 
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: Algebra, partition):
-        labels = partition.class_id if isinstance(partition, Partition) else tuple(partition)
-        super().__init__(labels)
+        super().__init__(partition.class_id if isinstance(partition, Partition) else partition)
         if self.size != algebra.size:
             raise ValidationError(f"partition is over {self.size} elements, algebra has {algebra.size}")
-        witness = _congruence_violation(algebra, self)
-        if witness is not None:
-            raise _not_a_congruence(algebra, witness)
+        if self.class_id not in algebra._congruences:
+            witness = _congruence_violation(algebra, self)
+            if witness is not None:
+                raise _not_a_congruence(algebra, witness)
+            algebra._congruences.add(self.class_id)
         self.algebra = algebra
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from .algebra import (
     DEFAULT_SIZE_GUARD,
     ProductAlgebra,
     QuotientAlgebra,
-    _coordinate_vectors,
+    _radix_sums,
     direct_product,
 )
 from .congruence import Congruence, Partition, _as_congruence, format_partition
@@ -95,15 +95,13 @@ def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD
     S, so x and y are related exactly when x_i ~ y_i for every i in S: the
     class of x is fixed by the classes of its coordinates in S, and its
     least member has the least members of those classes at S and 0
-    elsewhere.  That is O(F * |P| * |S|) work, with no |P| x |P| array.
+    elsewhere.  One broadcast pass per factor (algebra._radix_sums), with
+    no |P| x |P| array and no decode of the product elements.
     """
     core = _core(ultra)
-    sizes = [product.factors[i].size for i in core]
-    strides = [product.strides[i] for i in core]
-    label = np.zeros((len(class_ids[0]), product.size), dtype=np.int64)
-    for i, stride, coords in zip(core, strides, _coordinate_vectors(sizes, strides, product.size)):
-        label += np.asarray(class_ids[i], dtype=np.int64).take(coords, axis=1) * stride
-    return label
+    return _radix_sums([np.asarray(class_ids[i], dtype=np.int64) * stride if i in core
+                        else np.zeros((1, f.size), dtype=np.int64)
+                        for i, (f, stride) in enumerate(zip(product.factors, product.strides))])
 
 
 def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> Congruence:
@@ -115,7 +113,7 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
     product = direct_product(factors, max_size)
     _check_index_match(len(product.factors), ultra)
     identities = [np.arange(f.size)[None, :] for f in product.factors]
-    return Congruence(product, _least_member_labels(product, identities, ultra)[0].tolist())
+    return Congruence(product, _least_member_labels(product, identities, ultra)[0])
 
 
 def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
@@ -128,7 +126,7 @@ def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
     product = direct_product(family.factors, max_size)
     _check_index_match(len(product.factors), ultra)
     class_ids = [[c.class_id] for c in family.choice]
-    return Congruence(product, _least_member_labels(product, class_ids, ultra)[0].tolist())
+    return Congruence(product, _least_member_labels(product, class_ids, ultra)[0])
 
 
 class UltraproductAlgebra(QuotientAlgebra):
@@ -188,8 +186,7 @@ def _carried_down(theta_rows: np.ndarray, quotient_algebra: QuotientAlgebra) -> 
     member of its own base class, so it is a representative, and its
     projection is the least quotient element of the class.
     """
-    proj = np.asarray(quotient_algebra.projection.image, dtype=np.int64)
-    return proj[theta_rows.take(quotient_algebra.class_reps, axis=1)]
+    return quotient_algebra.projection_array[theta_rows.take(quotient_algebra.class_reps, axis=1)]
 
 
 def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: QuotientAlgebra | None = None) -> Congruence:
@@ -214,4 +211,4 @@ def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: Qu
     else:
         if quotient_algebra.parent != theta.algebra or quotient_algebra.congruence != base:
             raise ValidationError("supplied quotient was not built from this algebra and base")
-    return Congruence(quotient_algebra, _carried_down(row, quotient_algebra)[0].tolist())
+    return Congruence(quotient_algebra, _carried_down(row, quotient_algebra)[0])

@@ -32,8 +32,10 @@ import numpy as np
 from .algebra import (
     Algebra,
     ElemMap,
+    QuotientAlgebra,
     _coordinate_vectors,
     _product_tables,
+    _radix_sums,
     _strides,
     direct_product,
     is_homomorphism,
@@ -101,7 +103,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
     def summary_lines(self) -> list:
         lines = [f"{self.theorem}: {'PASS' if self.passed else 'FAIL'}"]
@@ -110,6 +112,65 @@ class VerificationReport:
             if not c.passed and c.witness:
                 lines.append(f"        witness: {json.dumps(c.witness, sort_keys=True)}")
         return lines
+
+
+class _Unhandled(Exception):
+    """A value json_text leaves to the json module."""
+
+
+def json_text(data) -> str:
+    """The text of json.dumps(data, indent=2, sort_keys=True), byte for byte.
+
+    With an indent, json.dumps runs the json module's pure-Python encoder.
+    This writes the same pieces into one list, for the types that reports
+    hold: dicts with str keys, lists, tuples, str, int, bool and None.
+    Data holding anything else goes to json.dumps whole.
+    """
+    out = []
+    try:
+        _encode(data, "\n", out)
+    except (_Unhandled, RecursionError, TypeError):
+        return json.dumps(data, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps uses with ensure_ascii
+
+
+def _encode(value, newline: str, out: list) -> None:
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind is list or kind is tuple:
+        opener, closer = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(opener + closer)
+            return
+        inner = newline + "  "
+        sep = opener + inner
+        if kind is dict:
+            for key in sorted(value):
+                if type(key) is not str:
+                    raise _Unhandled
+                out.append(sep + _encode_str(key) + ": ")
+                _encode(value[key], inner, out)
+                sep = "," + inner
+        else:
+            for item in value:
+                out.append(sep)
+                _encode(item, inner, out)
+                sep = "," + inner
+        out.append(newline + closer)
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise _Unhandled
 
 
 def _family_text(family: CongruenceFamily) -> list:
@@ -137,23 +198,30 @@ def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD,
     return induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
 
 
-def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD) -> ElemMap:
+def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD, quots=None,
+                                quot_ultra: UltraproductAlgebra | None = None) -> ElemMap:
     """Product element -> class of its tuple of per-factor congruence classes.
 
     Maps the direct product of the factors onto the ultraproduct of the
-    factor quotients (theorem 2's homomorphism).
+    factor quotients (theorem 2's homomorphism).  A caller that already
+    holds the factor quotients, or also their ultraproduct, passes them.
     """
     factors = family.factors
     prod = direct_product(factors)
-    quots = tuple(quotient(f, c) for f, c in zip(factors, family.choice))
-    quot_ultra = ultraproduct(quots, ultra)
-    sizes = [f.size for f in factors]
-    index = np.zeros(prod.size, dtype=np.int64)
-    for q, coords, stride in zip(quots, _coordinate_vectors(sizes, prod.strides, prod.size),
-                                 quot_ultra.product.strides):
-        index += np.asarray(q.projection.image, dtype=np.int64)[coords] * stride
-    final = np.asarray(quot_ultra.projection.image, dtype=np.int64)[index]
-    return ElemMap(prod.size, quot_ultra.size, final.tolist())
+    if quots is None:
+        quots = [quotient(f, c) for f, c in zip(factors, family.choice)]
+    elif len(quots) != len(factors) or not all(
+            isinstance(q, QuotientAlgebra) and q.parent == f and q.congruence == c
+            for q, f, c in zip(quots, factors, family.choice)):
+        raise ValidationError("supplied quotients are not the family's factors by its congruences")
+    if quot_ultra is None:
+        quot_ultra = ultraproduct(quots, ultra)
+    elif quot_ultra.factors != tuple(quots) or quot_ultra.ultrafilter != ultra:
+        raise ValidationError("supplied ultraproduct is not of these quotients over this ultrafilter")
+    # the element of the quotients' product with coordinates proj_i(x_i)
+    index = _radix_sums([q.projection_array[None, :] * stride
+                         for q, stride in zip(quots, quot_ultra.product.strides)])[0]
+    return ElemMap(prod.size, quot_ultra.size, quot_ultra.projection_array[index].tolist())
 
 
 def natural_embedding(algebra: Algebra, ultra: UltrafilterD,
@@ -226,17 +294,18 @@ def _definition_mismatch(family: CongruenceFamily, ultra: UltrafilterD, theta: C
     cid = np.asarray(theta.class_id, dtype=np.int64)
     reps = np.flatnonzero(cid == np.arange(cid.size))  # least members
     sizes = [f.size for f in prod.factors]
-    masks = np.zeros((prod.size, reps.size), dtype=np.int64)
-    for i, coords in enumerate(_coordinate_vectors(sizes, prod.strides, prod.size)):
-        cls = np.asarray(family.choice[i].class_id, dtype=np.int64)[coords]
-        masks |= (cls[:, None] == cls[reps][None, :]).astype(np.int64) << i
-    defined = _member_lookup(ultra)[masks]
-    related = cid[:, None] == reps[None, :]
-    bad = np.argwhere(defined != related)
-    if not bad.size:
+    # masks[k, x]: bit i set iff x_i and reps[k]_i are family[i]-related
+    parts = []
+    for i, (c, at) in enumerate(zip(family.choice, _coordinate_vectors(sizes, prod.strides, reps))):
+        cls = np.asarray(c.class_id, dtype=np.int64)
+        parts.append((cls[None, :] == cls[at][:, None]).astype(np.int64) << i)
+    defined = _member_lookup(ultra)[_radix_sums(parts)]
+    related = cid[None, :] == reps[:, None]
+    wrong = defined != related
+    if not wrong.any():
         return None
-    x, k = map(int, bad[0])
-    return x, int(reps[k]), bool(defined[x, k]), bool(related[x, k])
+    x, k = map(int, np.argwhere(wrong.T)[0])
+    return x, int(reps[k]), bool(defined[k, x]), bool(related[k, x])
 
 
 def _union_of_meets_matrix(algebra: Algebra, sigmas, ultra: UltrafilterD) -> np.ndarray:
@@ -347,7 +416,7 @@ class _FamilyImages:
                     raise _not_refined(self.ultra_alg.congruence, int(unrefined[k]))
                 if image_bad[k] is not None:
                     raise _not_a_congruence(self.ultra_alg, image_bad[k])
-                image = Partition(carried[k].tolist())
+                image = Partition(carried[k])
                 num = self.index.setdefault(image.class_id, len(self.images))
                 if num == len(self.images):
                     self.images.append(image)
@@ -436,16 +505,20 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
                 m = parts[i].meet(parts[j])
                 meet_of_images[i, j] = meet_of_images[j, i] = image_of.index.get(m.class_id, -1)
         fam_meet = _product_tables([("meet", 2)], sizes, [{"meet": m} for m in meets])["meet"]
-        expected = key[fam_meet]
-        actual = meet_of_images[np.ix_(key, key)].ravel()
-        bad = np.flatnonzero(expected != actual)
+        fam_meet = fam_meet.reshape(total, total)
+        # a block of rows s at a time, so that no other array is total**2 long
+        block = max(1, _BATCH_ENTRIES // total)
+        for start in range(0, total, block):
+            rows = slice(start, start + block)
+            bad = np.flatnonzero(key[fam_meet[rows]] != meet_of_images[key[rows]][:, key])
+            if bad.size:
+                break
         if bad.size:
-            flat = int(bad[0])
-            s, t = divmod(flat, total)
+            s, t = divmod(start * total + int(bad[0]), total)
             meet_witness = {
                 "family_a": family_text(s),
                 "family_b": family_text(t),
-                "image_of_meet": format_partition(image_of(int(fam_meet[flat]))),
+                "image_of_meet": format_partition(image_of(int(fam_meet[s, t]))),
                 "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
             }
     else:
@@ -490,6 +563,19 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     return VerificationReport("thm1", instance, tuple(checks), info)
 
 
+def _is_isomorphism(source: Algebra, target: Algebra, image: tuple) -> bool:
+    """Is the map with this image a bijective homomorphism whose inverse is
+    one too?  Kept on source by (target, image): the answer depends only on
+    the two algebras' immutable tables and the image."""
+    key = (target, image)
+    found = source._iso_maps.get(key)
+    if found is None:
+        h = ElemMap(source.size, target.size, image)
+        found = source._iso_maps[key] = (h.is_bijective() and is_homomorphism(h, source, target)
+                                         and is_homomorphism(h.inverse(), target, source))
+    return found
+
+
 def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationReport:
     """Check the quotient-transfer theorem on one family."""
     factors = family.factors
@@ -497,7 +583,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     ultra_alg = ultraproduct(factors, ultra)
     quots = tuple(quotient(f, c) for f, c in zip(factors, family.choice))
     quot_ultra = ultraproduct(quots, ultra)
-    cmap = coordinatewise_quotient_map(family, ultra)
+    cmap = coordinatewise_quotient_map(family, ultra, quots, quot_ultra)
 
     checks = []
 
@@ -537,25 +623,21 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     # factor the map through ultraproduct / transferred congruence
     transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg, theta=theta)
     inner = quotient(ultra_alg, transferred)
-    induced = [-1] * inner.size
+    image = np.asarray(cmap.image, dtype=np.int64)
+    over = inner.projection_array[ultra_alg.projection_array]  # inner element below each p
+    # induced sends t to the image of the least p over t, the least member
+    # of the least member of t's class (quotients number classes by their
+    # least members); a witness is the least p whose image differs from it
+    induced = image[np.asarray(ultra_alg.class_reps)[list(inner.class_reps)]]
+    bad = np.flatnonzero(image != induced[over])
     factor_witness = None
-    for p in range(prod.size):
-        t = inner.projection[ultra_alg.projection[p]]
-        if induced[t] < 0:
-            induced[t] = cmap[p]
-        elif induced[t] != cmap[p]:
-            factor_witness = {"quotient_element": t, "values": [induced[t], cmap[p]]}
-            break
+    if bad.size:
+        p = int(bad[0])
+        t = int(over[p])
+        factor_witness = {"quotient_element": t, "values": [int(induced[t]), int(image[p])]}
     checks.append(Check("map-factors-through-transferred-congruence", factor_witness is None, factor_witness))
 
-    iso_ok = False
-    if factor_witness is None and min(induced) >= 0:
-        candidate = ElemMap(inner.size, quot_ultra.size, induced)
-        iso_ok = (
-            candidate.is_bijective()
-            and is_homomorphism(candidate, inner, quot_ultra)
-            and is_homomorphism(candidate.inverse(), quot_ultra, inner)
-        )
+    iso_ok = factor_witness is None and _is_isomorphism(inner, quot_ultra, tuple(induced.tolist()))
     checks.append(Check("induced-map-is-isomorphism", iso_ok))
 
     search_witness = None

@@ -129,10 +129,11 @@ class UltrafilterD:
 
     Members are bitmask ints, ordered by (popcount, numeric value) so that
     iteration order is canonical.  Construction re-checks the axioms and
-    raises ValidationError with the first violation otherwise.
+    raises ValidationError with the first violation otherwise.  The member
+    sets and the repr are built once, on first use.
     """
 
-    __slots__ = ("n", "members", "_member_set")
+    __slots__ = ("n", "members", "_member_set", "_sets", "_repr")
 
     def __init__(self, n: int, members):
         violation = check_ultrafilter(n, members)
@@ -141,6 +142,8 @@ class UltrafilterD:
         self.n = n
         self._member_set = frozenset(members)
         self.members = tuple(sorted(self._member_set, key=lambda s: (bin(s).count("1"), s)))
+        self._sets = None
+        self._repr = None
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "UltrafilterD":
@@ -159,7 +162,9 @@ class UltrafilterD:
         return self.member(subset)
 
     def members_as_sets(self) -> tuple:
-        return tuple(mask_elements(s) for s in self.members)
+        if self._sets is None:
+            self._sets = tuple(mask_elements(s) for s in self.members)
+        return self._sets
 
     def principal_index(self) -> int:
         """The i0 with members exactly the supersets of {i0}.
@@ -176,8 +181,10 @@ class UltrafilterD:
         return hash((self.n, self._member_set))
 
     def __repr__(self) -> str:
-        shown = ",".join("{" + ",".join(map(str, mask_elements(s))) + "}" for s in self.members)
-        return f"UltrafilterD(n={self.n}, members=[{shown}])"
+        if self._repr is None:
+            shown = ",".join("{" + ",".join(map(str, s)) + "}" for s in self.members_as_sets())
+            self._repr = f"UltrafilterD(n={self.n}, members=[{shown}])"
+        return self._repr
 
 
 def principal_ultrafilter(n: int, i0: int) -> UltrafilterD:

@@ -300,3 +300,65 @@ def test_con_lattice_dot_output(c3):
     assert dot.count("label=") == 4
     assert dot.count("->") == 4  # diamond: two atoms between bottom and top
     assert '"[[0,1],[2]]"' in dot
+
+
+def _fresh(algebra):
+    """An equal algebra with nothing recorded on it yet."""
+    return make_algebra(algebra.signature, algebra.size, algebra.tables, algebra.name)
+
+
+def test_recorded_congruences_never_pass_a_non_congruence(c3):
+    alg = _fresh(c3)
+    bad = parse_partition("[[0,2],[1]]", 3)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="not a congruence") as exc:
+            Congruence(alg, bad)
+        messages.add(str(exc.value))
+    # record every congruence of the algebra, among them [[0],[1,2]] with
+    # as many classes as bad, then try bad again, as a partition and as labels
+    lattice = con_lattice(alg)
+    for c in lattice:
+        Congruence(alg, c.class_id)
+    assert alg._congruences == {c.class_id for c in lattice}
+    for labels in (bad, bad.class_id, np.array(bad.class_id, dtype=np.int64), [5, 7, 5]):
+        with pytest.raises(ValidationError, match="not a congruence") as exc:
+            Congruence(alg, labels)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert bad.class_id not in alg._congruences
+
+
+def test_a_congruence_recorded_on_one_algebra_is_checked_on_another(c3, z3):
+    p = parse_partition("[[0],[1,2]]", 3)
+    assert Congruence(c3, p).class_id in c3._congruences
+    with pytest.raises(ValidationError, match="not a congruence"):
+        Congruence(z3, p)
+    assert p.class_id not in z3._congruences
+    assert Congruence(c3, p) == p
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 0, 3, 2],      # a label greater than its index
+    [1, 1, 0],         # labels that are not their own class's label
+    [0, 2, 0, 2],      # label 2 at index 1: greater than the index
+    [0, 0, 1, 1],      # label 1 is an element of class 0, not a fixed point
+    [-1, -1, 0],       # negative labels (a -1 at the end would wrap)
+    [0, -3, 0, -3],
+    [2, 1, 0],
+    [0, 1, 2, 3],      # canonical: taken as it is
+    [0, 0, 2, 2, 0],
+])
+def test_array_labels_give_the_same_partition_as_a_tuple(labels):
+    arr = np.array(labels, dtype=np.int64)
+    p = Partition(arr)
+    assert p.class_id == Partition(tuple(labels)).class_id
+    assert all(type(c) is int for c in p.class_id)
+    assert list(arr) == labels  # the caller's array is not changed
+
+
+def test_partition_text_is_kept(c3):
+    p = parse_partition("[[0,2],[1]]", 3)
+    assert format_partition(p) == "[[0,2],[1]]" == str(p)
+    assert format_partition(p) is format_partition(p)
+    assert format_partition(Partition([0])) == "[[0]]"

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultracon import (
+    Congruence,
     Partition,
+    ValidationError,
     con_lattice,
     con_lattice_bruteforce,
     make_algebra,
@@ -90,3 +92,26 @@ def test_stacked_validation_matches_oracles_row_by_row(case):
         assert (witness is None) == naive_is_congruence(algebra, p.class_id)
         assert witness == _congruence_violation(algebra, p)
         assert witness == naive_first_violation(algebra, p.class_id)
+
+
+@PROPERTY
+@given(algebras_with_partitions())
+def test_validation_agrees_with_the_oracle_on_first_and_repeated_calls(case):
+    # each algebra is drawn fresh, so the first round validates and the
+    # second round meets whatever the first recorded
+    algebra, parts = case
+    for _ in range(2):
+        for p in parts:
+            try:
+                Congruence(algebra, p.class_id)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == naive_is_congruence(algebra, p.class_id)
+    assert algebra._congruences == {p.class_id for p in parts if naive_is_congruence(algebra, p.class_id)}
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-3, n + 2), min_size=n, max_size=n)))
+def test_array_labels_give_the_tuple_partition(labels):
+    assert Partition(np.array(labels, dtype=np.int64)).class_id == Partition(labels).class_id

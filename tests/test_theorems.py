@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from ultracon import (
     Check,
     CongruenceFamily,
+    ElemMap,
     Partition,
     ValidationError,
     VerificationReport,
@@ -177,6 +179,53 @@ def test_verify_thm1_memory_stays_off_the_family_space(by_name):
     assert peak <= 64 * 2**20
 
 
+def test_verify_thm1_exhaustive_meets_hold_one_family_table(by_name):
+    # 3584 families checked exhaustively: the meet ids are one 3584^2 int64
+    # table (98 MiB); the comparison with the meets of the images goes a
+    # block of rows at a time, where whole it took two more tables that size
+    c4, b22 = by_name["C4"], by_name["B22"]
+    factors = (c4, c4, c4, b22)
+    ultra = principal_ultrafilter(4, 0)
+    ultraproduct(factors, ultra)
+    for f in factors:
+        con_lattice_of(f)
+    tracemalloc.start()
+    try:
+        report = verify_thm1(factors, ultra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.instance["family_count"] == 3584 and report.instance["mode"] == "exhaustive"
+    assert peak <= 128 * 2**20
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "9ffcf4edc209a043fd9ced03109af658ec68f465d8fc0685a2b3e6fec279c1b1"
+
+
+@pytest.mark.parametrize("batch", [2**20, 2 * 16, 1])
+def test_exhaustive_meet_check_names_the_first_wrong_pair(batch, c3, monkeypatch):
+    # [C3, C3] has 4 * 4 families, id 4 * c0 + c1; flipping bit 2 of a meet
+    # id changes its coordinate on the principal index 0, hence its image.
+    # Rows 9 and 12 are corrupted; the witness is row 9's, in any block size.
+    real = theorems._product_tables
+
+    def corrupt(symbols, sizes, tables):
+        out = dict(real(symbols, sizes, tables))
+        meet = out["meet"].copy()
+        meet[[9 * 16 + 5, 12 * 16 + 3]] ^= 4
+        out["meet"] = meet
+        return out
+
+    monkeypatch.setattr(theorems, "_product_tables", corrupt)
+    monkeypatch.setattr(theorems, "_BATCH_ENTRIES", batch)
+    lattice = list(con_lattice_of(c3))
+    report = verify_thm1([c3, c3], principal_ultrafilter(2, 0))
+    check = {c.name: c for c in report.checks}["preserves-meets"]
+    assert report.instance["mode"] == "exhaustive" and not check.passed
+    assert check.witness["family_a"] == [format_partition(lattice[2]), format_partition(lattice[1])]
+    assert check.witness["family_b"] == [format_partition(lattice[1]), format_partition(lattice[1])]
+    assert check.witness["image_of_meet"] != check.witness["meet_of_images"]
+
+
 def test_verify_thm1_family_count_is_not_bounded_by_the_size_guard(c4):
     report = verify_thm1((c4,) * 5, principal_ultrafilter(5, 1))
     assert report.passed
@@ -300,6 +349,74 @@ def test_kernel_check_names_the_first_mismatched_pair(names, by_name, monkeypatc
                     "product_congruence_relates": theta.relates(a, b),
                 }
     assert failed
+
+
+def _first_factor_failure(image, ultra_alg, inner):
+    """The witness of the element-by-element loop the factor check replaced."""
+    induced = [-1] * inner.size
+    for p, value in enumerate(image):
+        t = inner.projection[ultra_alg.projection[p]]
+        if induced[t] < 0:
+            induced[t] = value
+        elif induced[t] != value:
+            return {"quotient_element": t, "values": [induced[t], value]}
+    return None
+
+
+@pytest.mark.parametrize("names", [("C3", "C3"), ("S2", "C3", "S2")])
+def test_factor_check_names_the_first_element_off_the_induced_map(names, by_name, monkeypatch):
+    # moving entries of the coordinatewise map breaks the factorisation
+    # through the transferred congruence unless each moved entry is alone in
+    # its fibre; the witness is the first element off the map that the least
+    # element of each fibre induces
+    factors = [by_name[n] for n in names]
+    real = theorems.coordinatewise_quotient_map
+    failed = 0
+    for choice in iter_product(*(list(con_lattice(f)) for f in factors)):
+        fam = CongruenceFamily(factors, choice)
+        for i0 in range(len(factors)):
+            ultra = principal_ultrafilter(len(factors), i0)
+            ultra_alg = ultraproduct(factors, ultra)
+            inner = quotient(ultra_alg, congruence_on_ultraproduct(fam, ultra))
+            cmap = real(fam, ultra)
+            mid, last = cmap.source_size // 2, cmap.source_size - 1
+            for moved in ((0,), (mid,), (last,), (mid, last), (0, last)):
+                image = list(cmap.image)
+                for p in moved:
+                    image[p] = (image[p] + 1) % cmap.target_size
+                with monkeypatch.context() as patch:
+                    patch.setattr(theorems, "coordinatewise_quotient_map",
+                                  lambda *args, image=image: ElemMap(len(image), cmap.target_size, image))
+                    report = verify_thm2(fam, ultra)
+                check = {c.name: c for c in report.checks}["map-factors-through-transferred-congruence"]
+                expected = _first_factor_failure(image, ultra_alg, inner)
+                assert check.witness == expected
+                assert check.passed == (expected is None)
+                failed += expected is not None
+    assert failed
+
+
+def test_induced_isomorphism_check_is_kept_per_map(c3, monkeypatch):
+    # the quotient ultraproduct here is a two-element chain; swapping its
+    # elements in the coordinatewise map keeps the map well defined on the
+    # fibres but makes the induced map a bijection that is no homomorphism.
+    # A pass recorded for the true map must not answer for the swapped one.
+    fam = CongruenceFamily([c3, c3], [sigma_a(), sigma_b()])
+    ultra = principal_ultrafilter(2, 0)
+    assert verify_thm2(fam, ultra).passed
+    real = theorems.coordinatewise_quotient_map
+
+    def swapped(*args):
+        h = real(*args)
+        return ElemMap(h.source_size, h.target_size, [1 - y for y in h.image])
+
+    monkeypatch.setattr(theorems, "coordinatewise_quotient_map", swapped)
+    checks = {c.name: c.passed for c in verify_thm2(fam, ultra).checks}
+    assert checks["map-factors-through-transferred-congruence"]
+    assert not checks["coordinatewise-map-is-homomorphism"]
+    assert not checks["induced-map-is-isomorphism"]
+    monkeypatch.undo()
+    assert verify_thm2(fam, ultra).passed
 
 
 def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
