@@ -428,9 +428,7 @@ class QuotientAlgebra(Algebra):
     __slots__ = ("parent", "congruence", "projection", "projection_array", "class_reps")
 
     def __init__(self, parent: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD):
-        from .congruence import _as_congruence
-
-        congruence = _as_congruence(parent, congruence)
+        congruence = _congruence._as_congruence(parent, congruence)
         cid = np.asarray(congruence.class_id, dtype=np.int64)
         is_rep = cid == np.arange(parent.size)
         reps = np.flatnonzero(is_rep)
@@ -459,16 +457,12 @@ def _quotient_cached(parent, congruence, max_size):
 
 def quotient(algebra: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD) -> QuotientAlgebra:
     """Quotient algebra A/theta; theta must be (or validate as) a congruence of A."""
-    from .congruence import _as_congruence
-
-    return _quotient_cached(algebra, _as_congruence(algebra, congruence), max_size)
+    return _quotient_cached(algebra, _congruence._as_congruence(algebra, congruence), max_size)
 
 
 def kernel(h: ElemMap):
     """Partition of the source identifying elements with equal image."""
-    from .congruence import Partition
-
-    return Partition(h.image)
+    return _congruence.Partition(h.image)
 
 
 def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
@@ -544,3 +538,9 @@ def save_algebra(algebra: Algebra, path, provenance: dict | None = None) -> None
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(algebra_to_dict(algebra, provenance), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# congruence builds on this module's Algebra, so it is bound here, once
+# everything it imports from this module exists; the functions above look
+# it up when they run
+from . import congruence as _congruence  # noqa: E402

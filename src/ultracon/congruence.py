@@ -256,6 +256,12 @@ def all_partitions(size: int):
 # rows builds; a single row always goes through whole.
 _BATCH_ENTRIES = 1 << 20
 
+# The same cap for the stacked passes that build congruence lattices and
+# their tables.  They run over thousands of small rows, where larger
+# chunks gain little time and cost resident memory: on the con-lattice
+# benchmark 2**17 entries raised peak RSS by 10%, 2**15 by 4-5%.
+_STACK_ENTRIES = 1 << 15
+
 
 def _congruence_violations(algebra: Algebra, labels: np.ndarray) -> list:
     """First one-coordinate compatibility failure of each row of labels, or None.
@@ -373,7 +379,9 @@ def _translations(algebra: Algebra) -> np.ndarray:
 
     Row x, column t holds t(x): for each symbol and argument position, one
     (n, n**(arity-1)) block whose columns fix the other arguments, side by
-    side in signature order.
+    side in signature order.  A block equal to an earlier one (the second
+    position of a commutative operation) adds no translation and is left
+    out.
     """
     n = algebra.size
     blocks = [np.zeros((n, 0), dtype=np.int64)]  # a signature of constants has none
@@ -382,47 +390,151 @@ def _translations(algebra: Algebra) -> np.ndarray:
             continue
         table = algebra.table_array(sym).reshape((n,) * arity)
         for pos in range(arity):
-            blocks.append(np.moveaxis(table, pos, 0).reshape(n, -1))
+            block = np.moveaxis(table, pos, 0).reshape(n, -1)
+            if not any(np.array_equal(block, seen) for seen in blocks):
+                blocks.append(block)
     return np.concatenate(blocks, axis=1)
 
 
-def _principal_labels(rows: np.ndarray, a: int, b: int) -> list:
-    """Least-member class ids of Cg(a, b) under the translations in rows.
+def _chunks(count: int, per_row: int) -> list:
+    """Slices of range(count), each as many rows as fit _STACK_ENTRIES.
 
-    rows is _translations(algebra).  Fixpoint over the labels: a partition
-    is respected iff each element's row of classes equals its class
-    representative's row, so union every pair of classes where the two
-    rows differ and look again.  Every pass merges classes, so there are
-    at most n passes.
+    per_row is the largest temporary one row needs, in entries; a row
+    that alone exceeds the cap goes through one at a time.
     """
-    n = len(rows)
-    parent = list(range(n))
-    parent[max(a, b)] = min(a, b)
+    step = max(1, _STACK_ENTRIES // max(1, per_row))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _pairs(k: int, per_pair: int):
+    """Yield (i, j) index arrays covering every pair i <= j < k, a chunk at a time.
+
+    Pairs run in row-major order, and a chunk holds as many pairs as fit
+    _STACK_ENTRIES at per_pair entries each.
+    """
+    first = np.arange(k, dtype=np.int64)
+    # row i's pairs (i, i), ..., (i, k - 1) start at flat pair starts[i]
+    starts = first * k - first * (first - 1) // 2
+    total = k * (k + 1) // 2
+    step = max(1, _STACK_ENTRIES // max(1, per_pair))
+    for start in range(0, total, step):
+        pair = np.arange(start, min(start + step, total), dtype=np.int64)
+        i = np.searchsorted(starts, pair, side="right") - 1
+        yield i, pair - starts[i] + i
+
+
+def _row_keys(stack: np.ndarray) -> list:
+    """The bytes of each row of a 2-D array, as dictionary keys."""
+    stack = np.ascontiguousarray(stack)
+    return stack.view(np.dtype((np.void, stack.shape[1] * stack.itemsize))).ravel().tolist()
+
+
+def _union_stack(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """labels with the classes of each pair of flat elements a[i], b[i] merged.
+
+    labels is an (R, n) int64 array of least-member class ids; a and b
+    index its flattened form (row r, element x is r * n + x), and a pair
+    merges classes of its own row only.  The stack is one union-find
+    forest of R * n elements whose roots are least members: each round
+    hooks the larger root of every pair still apart under the smaller
+    (np.minimum.at keeps the least hook on each root), then pointer-jumps
+    until every element points at its root.  labels is not changed.
+    """
+    count, n = labels.shape
+    offset = np.arange(0, count * n, n, dtype=np.int64)[:, None]
+    parent = (labels + offset).ravel()
     while True:
-        lab = np.asarray(parent)
-        u = lab[rows]
-        v = u[lab]
-        diff = u != v
-        if not diff.any():
-            return parent
-        for code in set((u[diff] * n + v[diff]).tolist()):
-            ra, rb = _find(parent, code // n), _find(parent, code % n)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        parent = _roots(parent)
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return parent.reshape(count, n) - offset
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+
+
+def _join_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Least-member class ids of the join of each row of left with that row of right."""
+    n = left.shape[1]
+    # each element is merged with its least member in right
+    right = right.ravel()
+    flat = np.flatnonzero(right != np.arange(len(right)) % n)
+    return _union_stack(left, flat, flat - flat % n + right[flat])
+
+
+def _meet_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Least-member class ids of the meet of each row of left with that row of right.
+
+    Elements share a meet class iff they share both class ids, so each
+    row's (left, right) code is given the least element that has it by
+    a scatter-min over count * n * n slots.
+    """
+    count, n = left.shape
+    codes = (left * n + right + np.arange(0, count * n * n, n * n, dtype=np.int64)[:, None]).ravel()
+    least = np.full(count * n * n, n, dtype=np.int64)
+    np.minimum.at(least, codes, np.tile(np.arange(n, dtype=np.int64), count))
+    return least[codes].reshape(count, n)
+
+
+def _principal_stacks(rows: np.ndarray, pairs):
+    """For each (a, b) in pairs, yield the stack of Cg(a[i], b[i]) for every i.
+
+    Each Cg is a row of least-member class ids, and rows is
+    _translations(algebra).  Every row starts as the identity
+    with a[i] ~ b[i] and each stack is closed by one fixpoint: a partition
+    is respected iff each element's row of classes equals its class
+    representative's row, so wherever the two differ the two classes are
+    merged, and the rows that changed are looked at again.  Every pass
+    merges classes, so a row settles within n passes.  A stack of P pairs
+    gathers P * rows.size entries into buffers shared by all stacks,
+    which saves the allocator freeing and faulting in fresh pages on
+    every pass.
+    """
+    n, width = rows.shape
+    size = max(_STACK_ENTRIES, n * width)
+    gathered, at_reps = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    differ = np.empty(size, dtype=bool)
+    for a, b in pairs:
+        count = len(a)
+        labels = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+        labels[np.arange(count), np.maximum(a, b)] = np.minimum(a, b)
+        offset = np.arange(0, count * n, n, dtype=np.int64)[:, None]
+        active = np.arange(count)
+        while len(active):
+            lab = labels[active]
+            entries = len(active) * n * width
+            # every index is in range, and "clip" writes straight into out
+            u = np.take(lab, rows, axis=1, out=gathered[:entries].reshape(len(active), n, width), mode="clip")
+            u = u.reshape(len(active) * n, width)
+            v = np.take(u, (lab + offset[:len(active)]).ravel(), axis=0,
+                        out=at_reps[:entries].reshape(u.shape), mode="clip")
+            diff = np.not_equal(u, v, out=differ[:entries].reshape(u.shape))
+            changed = np.flatnonzero(diff.reshape(len(active), -1).any(axis=1))
+            if not len(changed):
+                break
+            diff = np.flatnonzero(diff)
+            row = diff // (n * width) * n
+            merged = _union_stack(lab, u.ravel()[diff] + row, v.ravel()[diff] + row)
+            labels[active[changed]] = merged[changed]
+            active = active[changed]
+        yield labels
 
 
 def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
     """Smallest congruence relating a and b.
 
     Closes {a, b} under every one-argument translation of every operation,
-    in a few numpy passes over the translation table (_principal_labels).
+    as the stack of one pair that con_lattice closes for every pair
+    (_principal_stacks).
     """
     n = algebra.size
     for e in (a, b):
         if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
             raise ValidationError(f"generator {e!r} is outside the carrier 0..{n - 1}")
-    return Congruence(algebra, _principal_labels(_translations(algebra), a, b))
+    pair = (np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
+    return Congruence(algebra, next(_principal_stacks(_translations(algebra), [pair]))[0])
 
 
 class ConLattice:
@@ -469,23 +581,30 @@ class ConLattice:
         """The full congruence (coarsest)."""
         return self.congruences[0]
 
-    def _table(self, op) -> np.ndarray:
-        """Index of op(c_i, c_j) for every pair; op is commutative."""
-        k = len(self.congruences)
-        tbl = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(i, k):
-                tbl[i, j] = tbl[j, i] = self.index(op(self.congruences[i], self.congruences[j]))
+    def _table(self, combine, per_pair: int) -> np.ndarray:
+        """Index of combine(c_i, c_j) for every pair; combine is commutative.
+
+        combine takes two (P, n) stacks of class ids and gives the stack of
+        results, needing at most per_pair entries per pair; the pairs
+        i <= j go through a chunk at a time, in row-major order.
+        """
+        ids = np.array([c.class_id for c in self.congruences], dtype=np.int64)
+        index = {key: i for i, key in enumerate(_row_keys(ids))}
+        tbl = np.empty((len(ids), len(ids)), dtype=np.int64)
+        for i, j in _pairs(len(ids), per_pair):
+            keys = _row_keys(combine(ids[i], ids[j]))
+            tbl[i, j] = tbl[j, i] = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
         return tbl
 
     def meet_table(self) -> np.ndarray:
         if self._meet is None:
-            self._meet = self._table(Partition.meet)
+            n = self.algebra.size
+            self._meet = self._table(_meet_stack, n * n)
         return self._meet
 
     def join_table(self) -> np.ndarray:
         if self._join is None:
-            self._join = self._table(Partition.join)
+            self._join = self._table(_join_stack, self.algebra.size)
         return self._join
 
     def leq(self, i: int, j: int) -> bool:
@@ -510,38 +629,57 @@ class ConLattice:
 
 
 def con_lattice(algebra: Algebra, max_size: int = DEFAULT_SIZE_GUARD) -> ConLattice:
-    """Every congruence: the identity closed under joins with principal ones.
+    """Every congruence: the principal ones closed under joins, a layer at a time.
 
     Every congruence is the join of the principal congruences Cg(a, b) of
-    its related pairs, so it suffices to join each congruence found with
-    the distinct principal congruences not already below it (R. Freese,
-    Computing congruences efficiently, Algebra Universalis 59, 2008).
+    its related pairs (R. Freese, Computing congruences efficiently,
+    Algebra Universalis 59, 2008).  All Cg(a, b) are closed as one stack;
+    then each layer joins every congruence the last layer found with
+    every distinct principal one not already below it, in stacked passes,
+    and keeps the results not seen before.  Every result is validated by
+    stacked passes of _congruence_violations before it becomes a
+    Congruence.  No temporary exceeds _STACK_ENTRIES entries unless a
+    single row's does.
     """
     if algebra.size > max_size:
         raise SizeGuardError(f"carrier has {algebra.size} elements, guard is {max_size}")
     n = algebra.size
-    rows = _translations(algebra)
-    gens = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = Partition(_principal_labels(rows, a, b))
-            gens.setdefault(p.class_id, p)
-    gen_ids = np.array(list(gens), dtype=np.int64).reshape(len(gens), n)
-    generators = list(gens.values())
-    bottom = Partition.identity(n)
-    seen = {bottom.class_id: bottom, **gens}
-    queue = list(seen.values())
-    while queue:
-        p = queue.pop()
-        cid = np.asarray(p.class_id)
-        # generator g is below p iff p sends each element and its g-class
-        # representative to the same class
-        for k in np.flatnonzero((cid[gen_ids] != cid).any(axis=1)).tolist():
-            j = p.join(generators[k])
-            if j.class_id not in seen:
-                seen[j.class_id] = j
-                queue.append(j)
-    return ConLattice(algebra, [Congruence(algebra, p) for p in seen.values()])
+    bottom = np.arange(n, dtype=np.int64)[None]
+    seen = set(_row_keys(bottom))
+    translations = _translations(algebra)
+    # the pairs include a == b, whose Cg is the identity, already seen
+    pairs = _pairs(n, n * max(1, translations.shape[1]))
+    gens = np.concatenate([_unseen(labels, seen) for labels in _principal_stacks(translations, pairs)])
+    found = [bottom, gens]
+    frontier = gens
+    while len(frontier):
+        layer = []
+        for part in _chunks(len(frontier), len(gens) * n):
+            block = frontier[part]
+            # generator g is below a row iff the row sends each element and
+            # its g-class representative to the same class
+            row, gen = np.nonzero((block[:, gens] != block[:, None]).any(axis=2))
+            layer.append(_unseen(_join_stack(block[row], gens[gen]), seen))
+        frontier = np.concatenate(layer)
+        found.append(frontier)
+    stack = np.concatenate(found)
+    arity = max((k for _, k in algebra.signature.symbols), default=0)
+    for part in _chunks(len(stack), n ** arity):
+        for labels, witness in zip(stack[part], _congruence_violations(algebra, stack[part])):
+            if witness is not None:
+                raise _not_a_congruence(algebra, witness)
+            algebra._congruences.add(tuple(labels.tolist()))
+    return ConLattice(algebra, [Congruence(algebra, labels) for labels in stack])
+
+
+def _unseen(stack: np.ndarray, seen: set) -> np.ndarray:
+    """The rows of stack whose bytes are not in seen, copied; adds them to seen."""
+    keep = []
+    for i, key in enumerate(_row_keys(stack)):
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return stack[keep]
 
 
 def con_lattice_bruteforce(algebra: Algebra, max_size: int = 8) -> ConLattice:

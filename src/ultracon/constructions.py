@@ -20,6 +20,7 @@ from .algebra import (
     QuotientAlgebra,
     _radix_sums,
     direct_product,
+    quotient as make_quotient,
 )
 from .congruence import Congruence, Partition, _as_congruence, format_partition
 from .errors import ValidationError
@@ -155,7 +156,15 @@ def _ultraproduct_cached(factors, ultra, max_size):
 
 
 def ultraproduct(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> UltraproductAlgebra:
-    """Ultraproduct of same-signature factors; repeated calls are cached."""
+    """Ultraproduct of same-signature factors; repeated calls are cached.
+
+    The cache matches factors by equality (equal tables), so a cached
+    result's `factors`, `product` and `parent` may be equal algebras from
+    another call, with another provenance: equal quotients of different
+    algebras or by different congruences, say, whose `parent`,
+    `congruence` and `projection` differ from the caller's.  Code that
+    needs a factor's provenance keeps its own reference to it.
+    """
     return _ultraproduct_cached(tuple(factors), ultra, max_size)
 
 
@@ -196,8 +205,6 @@ def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: Qu
     relates two quotient elements iff their representatives are
     theta-related.  Raises ValidationError with a witness pair otherwise.
     """
-    from .algebra import quotient as make_quotient
-
     if theta.size != base.size:
         raise ValidationError(f"congruence sizes differ: {theta.size} vs {base.size}")
     if theta.algebra != base.algebra:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,69 @@ def test_con_lattice_closed_under_meet_and_join(c4):
             assert p.join(q) in lattice
             assert lattice.meet_table()[i, j] == lattice.index(p.meet(q))
             assert lattice.join_table()[i, j] == lattice.index(p.join(q))
+
+
+def _pairwise_tables(lattice):
+    """Meet and join tables from one Partition.meet/join call per pair."""
+    meet = np.array([[lattice.index(p.meet(q)) for q in lattice] for p in lattice], dtype=np.int64)
+    join = np.array([[lattice.index(p.join(q)) for q in lattice] for p in lattice], dtype=np.int64)
+    return meet, join
+
+
+def test_stacked_tables_equal_pairwise_meets_and_joins(corpus, by_name, monkeypatch):
+    # whole, and with the cap at one pair per chunk so that every chunk
+    # boundary of the triangle walk is crossed
+    lattices = [con_lattice(alg) for alg in corpus] + [con_lattice(direct_product([by_name["Z2"]] * 4))]
+    for cap in (congruence._STACK_ENTRIES, 1):
+        monkeypatch.setattr(congruence, "_STACK_ENTRIES", cap)
+        for lattice in lattices:
+            meet, join = _pairwise_tables(lattice)
+            fresh = congruence.ConLattice(lattice.algebra, lattice.congruences)
+            assert np.array_equal(fresh.meet_table(), meet), (lattice, cap)
+            assert np.array_equal(fresh.join_table(), join), (lattice, cap)
+            expected = make_algebra([("meet", 2)], len(lattice), {"meet": meet.ravel().tolist()},
+                                    f"Con({lattice.algebra.name})")
+            assert con_as_algebra(fresh) == expected
+
+
+@pytest.mark.parametrize("signature, tables", [
+    ([("c", 0)], {"c": [2]}),                       # constants only: every partition
+    ([("c", 0), ("d", 0)], {"c": [0], "d": [3]}),
+    ([], {}),                                        # no operations at all
+    ([("f", 1)], {"f": [1, 2, 3, 0]}),               # one unary operation: a 4-cycle
+    ([("f", 1), ("g", 1)], {"f": [0, 0, 1, 3], "g": [3, 3, 3, 3]}),
+    ([("f", 1), ("c", 0)], {"f": [1, 0, 3, 2], "c": [1]}),
+])
+def test_constants_and_unary_signatures(signature, tables, monkeypatch):
+    alg = make_algebra(signature, 4, tables)
+    expected = list(con_lattice_bruteforce(alg))
+    for cap in (congruence._STACK_ENTRIES, 1):
+        monkeypatch.setattr(congruence, "_STACK_ENTRIES", cap)
+        lattice = con_lattice(_fresh(alg))
+        assert list(lattice) == expected
+        meet, join = _pairwise_tables(lattice)
+        assert np.array_equal(lattice.meet_table(), meet)
+        assert np.array_equal(lattice.join_table(), join)
+        for a in range(4):
+            for b in range(4):
+                pc = principal_congruence(alg, a, b)
+                related = [t for t in expected if t.relates(a, b)]
+                assert pc in related and all(pc.refines(t) for t in related)
+
+
+def test_con_lattice_memory_is_bounded(by_name):
+    # every stacked pass is capped at congruence._STACK_ENTRIES entries;
+    # validating the whole stack at once peaked at 10 MiB here
+    alg = _fresh(direct_product([by_name["Z2"]] * 5))
+    con_lattice(by_name["C3"])  # warm up numpy before tracing
+    tracemalloc.start()
+    try:
+        lattice = con_lattice(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 374
+    assert peak <= 4 * 2**20
 
 
 def test_con_as_algebra_shapes(c3, s2):

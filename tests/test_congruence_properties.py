@@ -1,6 +1,7 @@
 """Property tests: the congruence layer against brute force on random algebras."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from ultracon import (
     make_algebra,
     principal_congruence,
 )
+from ultracon import congruence
 from ultracon.congruence import _congruence_violation, _congruence_violations
 
 from oracles import (
@@ -20,6 +22,7 @@ from oracles import (
     naive_first_violation,
     naive_is_congruence,
     naive_join_matrix,
+    naive_meet_matrix,
     relation_matrix,
 )
 
@@ -59,7 +62,12 @@ def algebras_with_partitions(draw):
 @PROPERTY
 @given(algebras())
 def test_con_lattice_equals_bruteforce(algebra):
-    assert list(con_lattice(algebra)) == list(con_lattice_bruteforce(algebra))
+    brute = list(con_lattice_bruteforce(algebra))
+    assert list(con_lattice(algebra)) == brute
+    # again with every stacked pass one row (or pair) at a time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruence, "_STACK_ENTRIES", 1)
+        assert list(con_lattice(algebra)) == brute
 
 
 @PROPERTY
@@ -72,6 +80,49 @@ def test_principal_congruence_is_meet_of_congruences_relating_the_pair(algebra):
             thetas = [t for t in brute if t.relates(a, b)]
             expected = [[all(t.relates(x, y) for t in thetas) for y in range(n)] for x in range(n)]
             assert relation_matrix(principal_congruence(algebra, a, b)) == expected, (a, b)
+
+
+@PROPERTY
+@given(algebras(max_size=5))
+def test_stacked_principal_closure_is_meet_of_congruences_relating_each_pair(algebra):
+    # every pair a <= b closed as one stack, then with the cap at one row,
+    # so that each pair is a chunk of its own
+    n = algebra.size
+    brute = list(con_lattice_bruteforce(algebra))
+    expected = [[[all(t.relates(x, y) for t in brute if t.relates(a, b)) for y in range(n)] for x in range(n)]
+                for a in range(n) for b in range(a, n)]
+    rows = congruence._translations(algebra)
+    for cap in (congruence._STACK_ENTRIES, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(congruence, "_STACK_ENTRIES", cap)
+            pairs = list(congruence._pairs(n, rows.size))
+            closed = np.concatenate(list(congruence._principal_stacks(rows, pairs)))
+        assert len(pairs) == (1 if cap > 1 else len(expected))
+        assert [relation_matrix(Partition(row)) for row in closed] == expected
+
+
+@st.composite
+def label_stacks(draw):
+    """Two stacks of one to six labellings each of a carrier of 1 to 8 elements."""
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 6))
+    rows = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=count, max_size=count)
+    return [Partition(labels) for labels in draw(rows)], [Partition(labels) for labels in draw(rows)]
+
+
+@PROPERTY
+@given(label_stacks())
+def test_stacked_joins_and_meets_match_naive_closure(stacks):
+    left, right = ([p.class_id for p in side] for side in stacks)
+    left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+    joins = congruence._join_stack(left, right)
+    meets = congruence._meet_stack(left, right)
+    for p, q, join, meet in zip(*stacks, joins, meets):
+        assert Partition(join).blocks() == matrix_to_blocks(naive_join_matrix(p, q))
+        assert Partition(meet).blocks() == matrix_to_blocks(naive_meet_matrix(p, q))
+        # least-member class ids already, as the tables' lookups need
+        assert tuple(join.tolist()) == Partition(join).class_id
+        assert tuple(meet.tolist()) == Partition(meet).class_id
 
 
 @PROPERTY
