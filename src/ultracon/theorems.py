@@ -49,6 +49,7 @@ from .congruence import (
     _as_congruence,
     _congruence_violations,
     _not_a_congruence,
+    _row_keys,
     con_lattice_of,
     format_partition,
 )
@@ -350,11 +351,14 @@ class _FamilyImages:
 
     Family ids decode as in _family_from_id.  Every family's product
     congruence is labelled from its own full family, all of a batch in one
-    stacked pass; only identical label rows share the rest of the work.
-    Each distinct row is validated once as a congruence of the product, and
-    its image once as a congruence of the ultraproduct.  images holds the
-    distinct images, index maps an image's class_id to its position there,
-    and number maps each family id computed so far to its image's position.
+    stacked pass; only label rows with equal bytes (_row_keys) share the
+    rest of the work, never families that merely agree on the filter.  Each
+    distinct row is validated once as a congruence of the product, and its
+    image once as a congruence of the ultraproduct, in the order of the
+    row's first family, so a failure names the family that checking one at
+    a time would have stopped on.  images holds the distinct images, index
+    maps an image's class_id to its position there, and number maps each
+    family id computed so far to its image's position.
     """
 
     def __init__(self, ultra_alg: UltraproductAlgebra, lattices):
@@ -398,13 +402,12 @@ class _FamilyImages:
         choice = _coordinate_vectors(self.sizes, self.strides, fids)
         labels = _least_member_labels(product, [ids[c] for ids, c in zip(self.class_ids, choice)],
                                       self.ultra_alg.ultrafilter)
-        rows, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
-        # new rows in the order of their first family, so that a failure
-        # names the family that checking one at a time would have stopped on
-        new = sorted((r for r in range(len(rows)) if rows[r].tobytes() not in self._by_row),
-                     key=first.__getitem__)
+        keys = _row_keys(labels)
+        # one row per distinct key: a dict keeps each key where it first came,
+        # and its value, the key's last row, has the same bytes
+        new = [r for key, r in dict(zip(keys, range(len(keys)))).items() if key not in self._by_row]
         if new:
-            thetas = rows[new]
+            thetas = labels[new]
             theta_bad = _congruence_violations(product, thetas)
             unrefined = _unrefined(thetas, self.ultra_alg.congruence)
             carried = _carried_down(thetas, self.ultra_alg)
@@ -420,10 +423,8 @@ class _FamilyImages:
                 num = self.index.setdefault(image.class_id, len(self.images))
                 if num == len(self.images):
                     self.images.append(image)
-                self._by_row[rows[r].tobytes()] = num
-        nums = [self._by_row[row.tobytes()] for row in rows]
-        for fid, inv in zip(fids.tolist(), inverse.ravel().tolist()):
-            self.number[fid] = nums[inv]
+                self._by_row[keys[r]] = num
+        self.number.update(zip(fids.tolist(), map(self._by_row.__getitem__, keys)))
 
 
 def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultracon import (
     SizeGuardError,
@@ -11,6 +13,8 @@ from ultracon import (
     make_algebra,
 )
 from ultracon.corpus import left_zero
+
+from test_congruence_properties import PROPERTY, algebras
 
 
 def relabel(algebra, perm):
@@ -66,6 +70,31 @@ def test_agrees_with_bruteforce_on_small_pairs(corpus):
             slow = isomorphic_by_bruteforce(a, b).found
             assert fast == slow, (a.name, b.name)
             assert fast == find_isomorphism(b, a).found  # symmetric
+
+
+@st.composite
+def algebra_pairs(draw):
+    """An algebra of at most 5 elements, a relabelled copy of it, and whether
+    one table entry of the copy was then changed."""
+    a = draw(algebras(max_size=5))
+    b = relabel(a, draw(st.permutations(range(a.size))))
+    mutated = a.size > 1 and draw(st.booleans())
+    if mutated:
+        tables = {sym: b.table_array(sym).tolist() for sym, _ in b.signature.symbols}
+        sym = draw(st.sampled_from(sorted(tables)))
+        flat = draw(st.integers(0, len(tables[sym]) - 1))
+        tables[sym][flat] = (tables[sym][flat] + draw(st.integers(1, a.size - 1))) % a.size
+        b = make_algebra(b.signature, b.size, tables)
+    return a, b, mutated
+
+
+@PROPERTY
+@given(algebra_pairs())
+def test_search_agrees_with_bruteforce_on_random_pairs(pair):
+    a, b, mutated = pair
+    found = find_isomorphism(a, b).found
+    assert found == isomorphic_by_bruteforce(a, b).found
+    assert found or mutated
 
 
 def test_known_non_isomorphic_pairs(by_name):

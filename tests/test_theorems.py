@@ -38,7 +38,7 @@ from ultracon import constructions, theorems
 from ultracon.algebra import DEFAULT_SIZE_GUARD, _quotient_cached
 from ultracon.congruence import con_as_algebra, con_lattice_of, format_partition, parse_partition
 
-from oracles import UpSet, definitional_product_matrix, naive_first_mismatch
+from oracles import UpSet, definitional_product_matrix, naive_first_mismatch, naive_first_violation
 
 
 def sigma_a(size=3):
@@ -255,6 +255,58 @@ def test_verify_thm1_fails_on_a_corrupted_family_row(c3, monkeypatch):
         assert check.witness["family_a"] != check.witness["family_b"]
 
 
+def test_a_non_congruence_row_is_reported_for_the_first_family_that_has_it(c3, monkeypatch):
+    # two families of [C3, C3] get rows that are not congruences of the
+    # product; the later family's row sorts first, but the error must name
+    # the earlier one's, where checking one family at a time stops
+    prod_alg = direct_product([c3, c3])
+    earlier = [0, 1, 2, 3, 4, 5, 6, 7, 0]  # merges 0 and 8
+    later = [0, 1, 2, 3, 0, 5, 6, 7, 8]  # merges 0 and 4
+    assert later < earlier
+    witness = naive_first_violation(prod_alg, earlier)
+    assert witness is not None and witness != naive_first_violation(prod_alg, later)
+    real = theorems._least_member_labels
+
+    def two_bad_rows(product, class_ids, ultra):
+        labels = real(product, class_ids, ultra)
+        labels[5], labels[10] = earlier, later
+        return labels
+
+    monkeypatch.setattr(theorems, "_least_member_labels", two_bad_rows)
+    sym, pos, a, b, flat = witness
+    with pytest.raises(ValidationError) as error:
+        verify_thm1([c3, c3], principal_ultrafilter(2, 0))
+    assert f"{sym!r} at argument {pos} separates related elements {a}~{b} (argument index {flat})" \
+        in str(error.value)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5])
+@pytest.mark.parametrize("names, filt", [
+    (("C3", "C3"), principal_ultrafilter(2, 1)),
+    (("S2", "C3", "S2"), principal_ultrafilter(3, 0)),
+    (("S2", "C3", "S2"), UpSet(3, 0b101)),
+    (("S2", "C3", "S2"), UpSet(3, 0b010)),
+], ids=["C3C3-principal1", "S2C3S2-principal0", "S2C3S2-up02", "S2C3S2-up1"])
+def test_images_do_not_depend_on_how_families_are_split_into_batches(names, filt, per_chunk, by_name,
+                                                                      monkeypatch):
+    # chunks of per_chunk families, over two add() calls whose ids overlap,
+    # give the numbering, image order and index of one batch of every family
+    factors = tuple(by_name[n] for n in names)
+    lattices = [con_lattice_of(f) for f in factors]
+    ultra_alg = ultraproduct(factors, filt)
+    total = prod(len(lat) for lat in lattices)
+    whole = theorems._FamilyImages(ultra_alg, lattices)
+    whole.add(range(total))
+    monkeypatch.setattr(theorems, "_BATCH_ENTRIES", per_chunk * ultra_alg.product.size)
+    split = theorems._FamilyImages(ultra_alg, lattices)
+    split.add(range(2 * total // 3))
+    split.add(range(total // 3, total))
+    assert split.number == whole.number
+    assert [image.class_id for image in split.images] == [image.class_id for image in whole.images]
+    assert split.index == whole.index
+    assert len(whole.images) > 1
+
+
 def test_verify_thm2_on_specific_families(c3, s2, by_name):
     ultra = principal_ultrafilter(2, 1)
     fam = CongruenceFamily([c3, c3], [sigma_a(), sigma_b()])
@@ -417,6 +469,27 @@ def test_induced_isomorphism_check_is_kept_per_map(c3, monkeypatch):
     assert not checks["induced-map-is-isomorphism"]
     monkeypatch.undo()
     assert verify_thm2(fam, ultra).passed
+
+
+@pytest.mark.parametrize("names, i0", [(("C3", "C3"), 0), (("S2", "C3", "S2"), 1)])
+def test_a_map_that_misses_a_target_element_fails_the_surjectivity_check(names, i0, by_name, monkeypatch):
+    factors = [by_name[n] for n in names]
+    fam = CongruenceFamily(factors, [Partition.identity(f.size) for f in factors])
+    ultra = principal_ultrafilter(len(factors), i0)
+    assert verify_thm2(fam, ultra).passed
+    real = theorems.coordinatewise_quotient_map
+
+    def missing_last(*args):
+        # every element sent to the last target element goes to the first instead
+        h = real(*args)
+        last = h.target_size - 1
+        return ElemMap(h.source_size, h.target_size, [0 if y == last else y for y in h.image])
+
+    monkeypatch.setattr(theorems, "coordinatewise_quotient_map", missing_last)
+    report = verify_thm2(fam, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not report.passed
+    assert not checks["coordinatewise-map-is-surjective"].passed
 
 
 def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
