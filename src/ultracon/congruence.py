@@ -22,26 +22,6 @@ from .algebra import DEFAULT_SIZE_GUARD, Algebra
 from .errors import SizeGuardError, ValidationError
 
 
-def _find(parent: list, x: int) -> int:
-    """Root of x in the union-find forest parent, halving paths on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _roots(parent: list) -> list:
-    """Every element's root, for a forest with parent[x] <= x throughout.
-
-    Unions that hang the larger root under the smaller keep that order, so
-    one ascending pass resolves each element through its already-resolved
-    parent, and the roots are the least members of their classes.
-    """
-    for e in range(len(parent)):
-        parent[e] = parent[parent[e]]
-    return parent
-
-
 class Partition:
     """An equivalence relation on {0..size-1} in least-member canonical form.
 
@@ -102,15 +82,14 @@ class Partition:
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "Partition":
         """Finest partition relating every given pair (transitive closure)."""
-        parent = list(range(size))
-        for a, b in pairs:
-            for e in (a, b):
+        pairs = [(a, b) for a, b in pairs]
+        # checked before any array sees them: numpy reads -1 as the last element
+        for pair in pairs:
+            for e in pair:
                 if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
                     raise ValidationError(f"pair element {e!r} is outside the carrier 0..{size - 1}")
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return cls(_roots(parent))
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(_union_stack(np.arange(size, dtype=np.int64)[None], ends[:, 0], ends[:, 1])[0])
 
     @classmethod
     def from_matrix(cls, matrix) -> "Partition":
@@ -172,15 +151,8 @@ class Partition:
         """Finest common coarsening: transitive closure of the union."""
         if self.size != other.size:
             raise ValidationError(f"partition sizes differ: {self.size} vs {other.size}")
-        # least-member class ids are already a union-find forest whose
-        # roots are the least members; union other's classes into it
-        parent = list(self.class_id)
-        for e, r in enumerate(other.class_id):
-            if r != e:
-                ra, rb = _find(parent, e), _find(parent, r)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return Partition(_roots(parent))
+        left, right = (np.array([p.class_id], dtype=np.int64) for p in (self, other))
+        return Partition(_join_stack(left, right)[0])
 
     __and__ = meet
     __or__ = join
@@ -441,7 +413,7 @@ def _union_stack(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     until every element points at its root.  labels is not changed.
     """
     count, n = labels.shape
-    offset = np.arange(0, count * n, n, dtype=np.int64)[:, None]
+    offset = np.arange(count, dtype=np.int64)[:, None] * n  # np.arange with step n fails at n = 0
     parent = (labels + offset).ravel()
     while True:
         ra, rb = parent[a], parent[b]

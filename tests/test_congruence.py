@@ -93,6 +93,26 @@ def test_from_pairs_and_from_matrix():
         Partition.from_matrix([[True, True], [False, True]])
 
 
+@pytest.mark.parametrize("pair, bad", [
+    ((0, 3), 3), ((3, 0), 3), ((True, 1), True), ((0, False), False),
+    ((-1, 0), -1), ((0, -3), -3), ((1.0, 0), 1.0),
+])
+def test_from_pairs_rejects_elements_outside_the_carrier(pair, bad):
+    # a negative element must be refused before it indexes an array, where
+    # -1 would silently stand for the last element
+    with pytest.raises(ValidationError, match=rf"pair element {bad!r} is outside the carrier 0\.\.2"):
+        Partition.from_pairs(3, [(0, 1), pair])
+
+
+@pytest.mark.parametrize("op", ["meet", "join", "refines"])
+def test_partitions_of_different_sizes_do_not_combine(op):
+    small, large = Partition.identity(3), Partition.full(4)
+    with pytest.raises(ValidationError, match="partition sizes differ: 3 vs 4"):
+        getattr(small, op)(large)
+    with pytest.raises(ValidationError, match="partition sizes differ: 4 vs 3"):
+        getattr(large, op)(small)
+
+
 def test_meet_join_against_naive_matrices():
     parts = [Partition(labels) for labels in naive_partitions(4)]
     for p in parts:

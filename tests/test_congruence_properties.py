@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultracon import (
@@ -130,6 +130,32 @@ def test_stacked_joins_and_meets_match_naive_closure(stacks):
 def test_join_matches_naive_closure(labels):
     p, q = Partition(labels[0]), Partition(labels[1])
     assert p.join(q).blocks() == matrix_to_blocks(naive_join_matrix(p, q))
+
+
+@st.composite
+def pair_lists(draw):
+    """A carrier of 1 to 8 elements and up to 12 pairs over it, which may
+    repeat or relate an element to itself."""
+    n = draw(st.integers(1, 8))
+    element = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(element, element), max_size=12))
+
+
+@PROPERTY
+@given(pair_lists())
+@example((1, []))
+@example((4, []))
+@example((5, [(3, 1), (3, 1), (1, 3), (2, 2), (4, 0), (0, 4), (4, 4)]))
+def test_from_pairs_is_the_transitive_closure(case):
+    n, pairs = case
+    rel = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        rel[a][b] = rel[b][a] = True
+    for c in range(n):  # Warshall: after step c, paths through 0..c are closed
+        for a in range(n):
+            for b in range(n):
+                rel[a][b] = rel[a][b] or (rel[a][c] and rel[c][b])
+    assert relation_matrix(Partition.from_pairs(n, pairs)) == rel
 
 
 @PROPERTY

@@ -34,11 +34,19 @@ from ultracon import (
     verify_thm2,
     verify_thm3,
 )
-from ultracon import constructions, theorems
+from ultracon import congruence, constructions, theorems
 from ultracon.algebra import DEFAULT_SIZE_GUARD, _quotient_cached
 from ultracon.congruence import con_as_algebra, con_lattice_of, format_partition, parse_partition
 
-from oracles import UpSet, definitional_product_matrix, naive_first_mismatch, naive_first_violation
+from oracles import (
+    UpSet,
+    definitional_product_matrix,
+    matrix_to_blocks,
+    naive_first_mismatch,
+    naive_first_violation,
+    naive_join_matrix,
+    relation_matrix,
+)
 
 
 def sigma_a(size=3):
@@ -104,6 +112,40 @@ def test_verify_thm1_frozen_instances(c3, s2, z3):
 
     r = verify_thm1([z3, c3], principal_ultrafilter(2, 0))
     assert r.passed and r.info["image_size"] == 2
+
+
+@pytest.mark.parametrize("i0", [0, 1])
+def test_join_information_counts_the_pairs_a_broken_join_gets_wrong(i0, c3, monkeypatch):
+    # The join information pairs the least family of each almost-everywhere
+    # class.  Under the principal ultrafilter at i0 a class is fixed by
+    # coordinate i0, and its least family has the lattice's first element
+    # elsewhere.  With every join of images taken as its left argument, a
+    # pair (s, t) counts iff the image of s v t differs from the image of s.
+    factors, ultra = [c3, c3], principal_ultrafilter(2, i0)
+    lattice = list(con_lattice(c3))
+    reps = [[x if i == i0 else lattice[0] for i in range(2)] for x in lattice]
+
+    def image(family):
+        return congruence_on_ultraproduct(CongruenceFamily(factors, family), ultra)
+
+    def naive_join(p, q):
+        return Partition.from_blocks(p.size, matrix_to_blocks(naive_join_matrix(p, q)))
+
+    expected = 0
+    for a, s in enumerate(reps):
+        for t in reps[a:]:
+            joined = image([naive_join(p, q) for p, q in zip(s, t)])
+            # a principal ultrafilter preserves joins, so the true count is 0
+            assert relation_matrix(joined) == naive_join_matrix(image(s), image(t))
+            expected += joined != image(s)
+    assert expected > 0
+    assert verify_thm1(factors, ultra).info["join_counterexamples"] == 0
+
+    monkeypatch.setattr(theorems, "_join_stack", lambda left, right: left)
+    report = verify_thm1(factors, ultra)
+    assert report.passed, report.summary_lines()
+    assert report.info["joins_preserved"] is False
+    assert report.info["join_counterexamples"] == expected
 
 
 def test_verify_thm1_sampled_mode_is_deterministic(c3):
@@ -575,6 +617,25 @@ def test_verify_thm3_exhaustive_small(c3, s2):
         "natural-embedding-is-injective-homomorphism",
         "pullback-along-embedding-equals-restriction",
     ]
+
+
+def test_a_join_of_meets_that_is_not_a_congruence_fails_its_check(c3, monkeypatch):
+    # every join also relates each carrier's last element to 0: on C3 the
+    # join of the identity meets becomes [[0,2],[1]], not a congruence of
+    # the chain; the verifier must report that, not raise it
+    def joined_with_last(left, right):
+        out = left.copy()
+        out[:, -1] = 0
+        return out
+
+    sigmas, ultra = [Partition.identity(3)] * 2, principal_ultrafilter(2, 0)
+    monkeypatch.setattr(congruence, "_join_stack", joined_with_last)
+    with pytest.raises(ValidationError, match="not a congruence") as raised:
+        join_of_meets(c3, sigmas, ultra)
+    report = verify_thm3(c3, sigmas, ultra)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["join-of-meets-equals-union"]
+    assert report.checks[3].witness == {"reason": str(raised.value)}
 
 
 def test_verify_thm3_rejects_wrong_family_size(c3):
