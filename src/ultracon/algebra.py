@@ -92,9 +92,10 @@ def _check_ints(values, bound, describe) -> None:
             raise ValidationError(describe(idx, value))
 
 
-def _checked_table(sym, table, size, arity) -> np.ndarray:
+def _checked_table(sym, table, size, arity, copy=True) -> np.ndarray:
     """A private read-only int64 copy of one operation table, after checking
-    its length, its entry type and that every entry lies in the carrier."""
+    its length, its entry type and that every entry lies in the carrier.
+    With copy=False an int64 array is kept as it is, made read-only."""
     if isinstance(table, np.ndarray):
         if table.dtype.kind not in "iu":
             raise ValidationError(f"table for {sym!r} has dtype {table.dtype}; entries must be integers")
@@ -110,7 +111,7 @@ def _checked_table(sym, table, size, arity) -> np.ndarray:
         return f"table entry {sym!r}[{idx}] = {value!r} is outside the carrier 0..{size - 1}"
 
     if isinstance(table, np.ndarray):
-        arr = np.array(table, dtype=np.int64)
+        arr = np.array(table, dtype=np.int64) if copy else np.asarray(table, dtype=np.int64)
         # viewed as uint64, a negative entry (or a uint64 one of 2**63 or more,
         # which the cast wraps) is at least 2**63: one max bounds both ends
         unsigned = arr.view(np.uint64)
@@ -131,11 +132,16 @@ class Algebra:
     has length size**arity and every entry lies in the carrier, and keeps
     its own read-only int64 copy: ``tables`` maps each symbol to that
     array.  A table may be given as a list or tuple of ints or as an
-    integer-dtype numpy array.
+    integer-dtype numpy array.  Products and quotients keep the arrays
+    they build, with the same checks and no copy.
     """
 
     __slots__ = ("signature", "size", "tables", "name", "_hash", "_tuples", "_isos", "_congruences",
                  "_iso_maps")
+
+    # True in subclasses whose constructor builds the int64 tables it
+    # passes here and keeps no other reference to them
+    _keeps_built_tables = False
 
     def __init__(self, signature, size, tables, name: str = ""):
         if not isinstance(signature, Signature):
@@ -148,7 +154,8 @@ class Algebra:
             raise ValidationError(
                 f"tables do not match signature (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        clean = {sym: _checked_table(sym, tables[sym], size, arity) for sym, arity in signature.symbols}
+        copy = not self._keeps_built_tables
+        clean = {sym: _checked_table(sym, tables[sym], size, arity, copy) for sym, arity in signature.symbols}
         self.signature = signature
         self.size = size
         self.tables = MappingProxyType(clean)
@@ -329,6 +336,7 @@ class ProductAlgebra(Algebra):
     """
 
     __slots__ = ("factors", "strides")
+    _keeps_built_tables = True
 
     def __init__(self, factors, max_size: int = DEFAULT_SIZE_GUARD):
         factors = tuple(factors)
@@ -381,14 +389,16 @@ def _product_tables(symbols, sizes, tables):
     factors left to right: with m the size of the product so far and n the
     next factor's size, element x * n + c has coordinates x and c, so the
     table at (x1 * n + c1, ..., xk * n + ck) is acc[x] * n + local[c], one
-    broadcast pass per factor and no gather index (arity 0 included).
+    broadcast pass per factor and no gather index (arity 0 included).  acc
+    is scaled in place, so a pass holds only the old and the new table.
     """
     out = {}
     for sym, arity in symbols:
         acc = np.zeros(1, dtype=np.int64)
         m = 1
         for n, local in zip(sizes, tables):
-            acc = (acc.reshape((m, 1) * arity) * n + local[sym].reshape((1, n) * arity)).reshape((m * n,) * arity)
+            acc *= n
+            acc = (acc.reshape((m, 1) * arity) + local[sym].reshape((1, n) * arity)).reshape((m * n,) * arity)
             m *= n
         out[sym] = acc.ravel()
     return out
@@ -404,15 +414,15 @@ def direct_product(factors, max_size: int = DEFAULT_SIZE_GUARD) -> ProductAlgebr
     return _direct_product_cached(tuple(factors), max_size)
 
 
-def _take_each_axis(table, size, arity, index):
-    """Flat table[index[x1], ..., index[xk]] over all tuples of positions of index.
+def _take_each_axis(table, size, indices):
+    """Flat table[i1, ..., ik] over all i1 in indices[0], ..., ik in indices[k-1].
 
     table is the flat table of a k-ary operation on a carrier of the given
-    size.  One take per axis gathers the whole table along that axis, so
-    no len(index)**k array of indices is built.
+    size, and indices holds one index array per argument.  One take per
+    axis gathers along that axis, so no array of index tuples is built.
     """
-    picked = table.reshape((size,) * arity)
-    for axis in range(arity):
+    picked = table.reshape((size,) * len(indices))
+    for axis, index in enumerate(indices):
         picked = picked.take(index, axis=axis)
     return picked.ravel()
 
@@ -426,6 +436,7 @@ class QuotientAlgebra(Algebra):
     """
 
     __slots__ = ("parent", "congruence", "projection", "projection_array", "class_reps")
+    _keeps_built_tables = True
 
     def __init__(self, parent: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD):
         congruence = _congruence._as_congruence(parent, congruence)
@@ -439,7 +450,7 @@ class QuotientAlgebra(Algebra):
         proj.setflags(write=False)
         tables = {}
         for sym, arity in parent.signature.symbols:
-            picked = _take_each_axis(parent.table_array(sym), parent.size, arity, reps)
+            picked = _take_each_axis(parent.table_array(sym), parent.size, [reps] * arity)
             tables[sym] = proj[picked]
         name = f"{parent.name}/~" if parent.name else ""
         super().__init__(parent.signature, len(reps), tables, name=name)
@@ -466,7 +477,14 @@ def kernel(h: ElemMap):
 
 
 def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
-    """Does h carry every source operation onto the target operation?"""
+    """Does h carry every source operation onto the target operation?
+
+    Each source table goes through a block of first arguments at a time:
+    h of the block's table rows against the target table at h of their
+    arguments.  A block holds at most congruence._STACK_ENTRIES entries
+    (or one table row, if that is larger), and the first block that
+    differs ends the check.
+    """
     if source.signature != target.signature:
         raise ValidationError("source and target must share a signature")
     if h.source_size != source.size or h.target_size != target.size:
@@ -481,8 +499,12 @@ def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
             if h.image[src_table[0]] != tgt_table[0]:
                 return False
             continue
-        if not np.array_equal(img[src_table], _take_each_axis(tgt_table, target.size, arity, img)):
-            return False
+        width = len(src_table) // source.size  # entries per first argument
+        step = max(1, _congruence._STACK_ENTRIES // width)
+        for start in range(0, source.size, step):
+            images = _take_each_axis(tgt_table, target.size, [img[start:start + step]] + [img] * (arity - 1))
+            if (img.take(src_table[start * width:(start + step) * width]) != images).any():
+                return False
     return True
 
 

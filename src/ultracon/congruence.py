@@ -8,9 +8,17 @@ and class_id[class_id[e]] == class_id[e].
 The text form is JSON: "[[0,1],[2]]" with blocks sorted by least element
 and elements ascending, no spaces.
 
-A congruence is a partition compatible with every operation of an algebra;
-compatibility is checked one argument position at a time, which is
-equivalent to the full simultaneous-substitution property.
+A congruence is a partition compatible with every operation of an algebra.
+Compatibility is checked one argument position at a time, which is
+equivalent to the full simultaneous-substitution property: an element a
+and the least member of its class, put at one position, must give results
+in the same class.  Once positions 0..j-1 pass at every tuple, position j
+need only be checked at tuples whose first j arguments are least members.
+Replacing each of those arguments by its least member keeps both results'
+classes, so a failure at any tuple is also a failure at one whose first j
+arguments are least members, and that tuple is no later in (a, other
+arguments) order: the first witness is the same.  Tables too large for one
+pass are checked that way, a block of first arguments at a time.
 """
 
 import json
@@ -224,13 +232,11 @@ def all_partitions(size: int):
     yield from rec(1, 1) if size > 1 else iter((Partition([0]),))
 
 
-# Largest temporary, in int64 entries, that a pass over a batch of label
-# rows builds; a single row always goes through whole.
-_BATCH_ENTRIES = 1 << 20
-
-# The same cap for the stacked passes that build congruence lattices and
-# their tables.  They run over thousands of small rows, where larger
-# chunks gain little time and cost resident memory: on the con-lattice
+# Largest temporary, in int64 entries, that a stacked pass builds: the
+# passes that build congruence lattices and their tables, validation and
+# homomorphism checks.  They run over thousands of small rows, or over
+# the tables of large products a block at a time, where larger chunks
+# gain little time and cost resident memory: on the con-lattice
 # benchmark 2**17 entries raised peak RSS by 10%, 2**15 by 4-5%.
 _STACK_ENTRIES = 1 << 15
 
@@ -238,58 +244,140 @@ _STACK_ENTRIES = 1 << 15
 def _congruence_violations(algebra: Algebra, labels: np.ndarray) -> list:
     """First one-coordinate compatibility failure of each row of labels, or None.
 
-    labels is an (R, n) int64 array of class ids in which every element's
-    id is an element of its class (least-member ids are).  A witness
-    (symbol, position, a, b, index) means: substituting b for a at
-    `position` in the argument tuple decoded from flat `index` changes the
-    result's class.  Rows are checked a chunk at a time, so that no
-    temporary exceeds _BATCH_ENTRIES entries unless one row does.
+    labels is an (R, n) int64 array of least-member class ids.  A witness
+    (symbol, position, a, b, index) means: substituting b, the least
+    member of a's class, for a at `position` in the argument tuple decoded
+    from flat `index` changes the result's class.  It is the first such
+    failure in (symbol, position, a, other arguments) order.  Rows go
+    through a chunk at a time (_separations), so that no temporary exceeds
+    _STACK_ENTRIES entries unless one table row does.
     """
     n = algebra.size
     out = [None] * len(labels)
     ops = [(sym, arity) for sym, arity in algebra.signature.symbols if arity > 0]
     if not ops:
         return out
-    chunk = max(1, _BATCH_ENTRIES // n ** max(arity for _, arity in ops))
-    for start in range(0, len(labels), chunk):
-        cid = labels[start:start + chunk]
+    for part in _chunks(len(labels), n ** max(arity for _, arity in ops)):
+        cid = labels[part]
         count = len(cid)
-        # row r, element x of the chunk is row r * n + x of the stacked rows
-        reps = (cid + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel()
+        # row r, element x of the chunk is row r * n + x of stacked classes
+        least = (cid + np.arange(0, count * n, n, dtype=np.int64)[:, None]).ravel() if count > 1 else cid[0]
         todo = set(range(count))
-        for sym, arity, pos, rows in _argument_rows(algebra, ops, cid):
-            # each element's row must match its class representative's row
-            mism = rows != rows[reps]
-            if not mism.any():
-                continue
-            per_row = mism.reshape(count, -1)
-            for r in np.flatnonzero(per_row.any(axis=1)).tolist():
-                if r in todo:
-                    todo.discard(r)
-                    a, rest = divmod(int(per_row[r].argmax()), rows.shape[1])
-                    # rebuild the flat index of the offending argument tuple
-                    before, after = divmod(rest, n ** (arity - 1 - pos))
-                    flat = (before * n + a) * (n ** (arity - 1 - pos)) + after
-                    out[start + r] = (sym, pos, a, int(cid[r, a]), flat)
+        for sym, arity in ops:
+            table = algebra.table_array(sym).reshape((n,) * arity)
+            for pos, found in enumerate(_separations(table, cid, least)):
+                for r, (a, flat) in found.items():
+                    if r in todo:
+                        todo.discard(r)
+                        out[part.start + r] = (sym, pos, a, int(cid[r, a]), flat)
+                if not todo:
+                    break
             if not todo:
                 break
     return out
 
 
-def _argument_rows(algebra: Algebra, ops, cid: np.ndarray):
-    """Yield (symbol, arity, position, rows) for every operation and argument position.
+def _separations(table: np.ndarray, cid: np.ndarray, least: np.ndarray):
+    """Yield, for each argument position of one operation in turn,
+    {row: (a, flat index)} of the first argument tuple, in (a, other
+    arguments) order, at which an element a and its least member, put at
+    that position, give results in different classes of that row of cid.
 
-    Row r * n + x of rows holds, under labelling cid[r], the classes of the
-    results with x at that position, one column per tuple of the other
-    arguments in row-major order.
+    table is the operation's table shaped (n,) * arity, and least[r * n + x]
+    is r * n plus the least member of x's class in row r.  When the rows'
+    tables fit _STACK_ENTRIES together, each position is one pass: every
+    element's row of classes, with that position's axis first, compared
+    with its least member's row.  A single row too large for that goes
+    through _row_separations.
     """
-    n = algebra.size
-    count = len(cid)
-    for sym, arity in ops:
-        classes = cid.take(algebra.table_array(sym), axis=1).reshape((count,) + (n,) * arity)
-        for pos in range(arity):
-            axes = (0, pos + 1) + tuple(k for k in range(1, arity + 1) if k != pos + 1)
-            yield sym, arity, pos, classes.transpose(axes).reshape(count * n, -1)
+    count, n = cid.shape
+    if count * table.size > _STACK_ENTRIES:
+        yield from _row_separations(table, cid[0])
+        return
+    classes = cid.take(table, axis=1)
+    for pos in range(table.ndim):
+        after = n ** (table.ndim - 1 - pos)  # tuples of the arguments after pos
+        axes = (0, pos + 1) + tuple(k for k in range(1, table.ndim + 1) if k != pos + 1)
+        rows = classes.transpose(axes).reshape(count * n, -1)
+        differ = rows != rows.take(least, axis=0)
+        found = {}
+        if differ.any():
+            differ = differ.reshape(count, -1)
+            for r in np.flatnonzero(differ.any(axis=1)).tolist():
+                a, rest = divmod(int(differ[r].argmax()), rows.shape[1])
+                before, rest = divmod(rest, after)
+                found[r] = (a, (before * n + a) * after + rest)
+        yield found
+
+
+def _row_separations(table: np.ndarray, labels: np.ndarray):
+    """_separations for one labelling, a block of at most _STACK_ENTRIES
+    entries at a time (or one table row, if that is larger).
+
+    Position 0 goes through _first_position_scan.  Position j > 0 is
+    looked at only at tuples whose first j arguments are least members of
+    their classes, and _congruence_violations reads position j only if
+    every earlier one passed.  That is enough: the earlier positions then
+    let each of the first j arguments be replaced by its least member
+    without changing either result's class, so a failure anywhere is also
+    a failure at a tuple that is no later in (a, other arguments) order.
+    Those tuples go through a few prefixes of first j arguments at a
+    time, each with every a and every later argument.
+    """
+    n = len(labels)
+    yield _first_position_scan(table.reshape(n, -1), labels)
+    reps = np.flatnonzero(labels == np.arange(n))
+    # ascending codes of the tuples of least members, in row-major order
+    prefixes = reps
+    for pos in range(1, table.ndim):
+        after = n ** (table.ndim - 1 - pos)
+        cube = table.reshape(-1, n, after)
+        first = None
+        step = max(1, _STACK_ENTRIES // (n * after))
+        for start in range(0, len(prefixes), step):
+            classes = labels.take(cube.take(prefixes[start:start + step], axis=0))
+            differ = classes != classes.take(labels, axis=1)
+            if differ.any():
+                a = int(differ.any(axis=(0, 2)).argmax())
+                p, rest = divmod(int(differ[:, a].argmax()), after)
+                # for one a the flat index ascends with (prefix, rest)
+                found = (a, (int(prefixes[start + p]) * n + a) * after + rest)
+                first = found if first is None else min(first, found)
+        yield {} if first is None else {0: first}
+        prefixes = (prefixes[:, None] * n + reps).ravel()
+
+
+def _first_position_scan(rows: np.ndarray, labels: np.ndarray) -> dict:
+    """{0: (a, flat index)} of the first failure at position 0 of one labelling, or {}.
+
+    rows is the table shaped (n, n**(arity-1)), one row per first
+    argument, and goes through a block of rows at a time.  The elements
+    go through class by class, each class's least member first, so every
+    block holds the least members of its classes but perhaps the first
+    one's, whose row is gathered once more.
+    """
+    n, width = rows.shape
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    least = np.searchsorted(ranked, ranked)  # where in order each element's least member is
+    first = None
+    step = max(1, _STACK_ENTRIES // width)
+    for start in range(0, n, step):
+        pick = order[start:start + step]
+        # every table entry is in the carrier, so "wrap" only skips the bounds check
+        classes = labels.take(rows.take(pick, axis=0), mode="wrap")
+        at = least[start:start + step] - start
+        differ = classes != classes.take(np.maximum(at, 0), axis=0)
+        if at[0] < 0:  # the block opens inside a class whose least member came earlier
+            carried = np.searchsorted(at, 0)
+            differ[:carried] = classes[:carried] != labels.take(rows[order[least[start]]])
+        if differ.any():
+            # the flat index a * width + rest ascends with (a, rest)
+            hit = np.flatnonzero(differ.any(axis=1))
+            i = hit[pick[hit].argmin()]
+            flat = int(pick[i]) * width + int(differ[i].argmax())
+            first = flat if first is None else min(first, flat)
+    return {} if first is None else {0: (first // width, first)}
 
 
 def _congruence_violation(algebra: Algebra, p: Partition):
@@ -635,12 +723,10 @@ def con_lattice(algebra: Algebra, max_size: int = DEFAULT_SIZE_GUARD) -> ConLatt
         frontier = np.concatenate(layer)
         found.append(frontier)
     stack = np.concatenate(found)
-    arity = max((k for _, k in algebra.signature.symbols), default=0)
-    for part in _chunks(len(stack), n ** arity):
-        for labels, witness in zip(stack[part], _congruence_violations(algebra, stack[part])):
-            if witness is not None:
-                raise _not_a_congruence(algebra, witness)
-            algebra._congruences.add(tuple(labels.tolist()))
+    for labels, witness in zip(stack, _congruence_violations(algebra, stack)):
+        if witness is not None:
+            raise _not_a_congruence(algebra, witness)
+        algebra._congruences.add(tuple(labels.tolist()))
     return ConLattice(algebra, [Congruence(algebra, labels) for labels in stack])
 
 

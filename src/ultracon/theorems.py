@@ -43,7 +43,6 @@ from .algebra import (
     quotient,
 )
 from .congruence import (
-    _BATCH_ENTRIES,
     Congruence,
     Partition,
     _as_congruence,
@@ -51,6 +50,7 @@ from .congruence import (
     _join_stack,
     _not_a_congruence,
     _row_keys,
+    _union_stack,
     con_lattice_of,
     format_partition,
 )
@@ -72,6 +72,10 @@ from .ultrafilter import UltrafilterD, mask_elements
 
 EXHAUSTIVE_LIMIT = 4096  # sweep every family when the family count is at most this
 SAMPLE_SIZE = 500
+
+# Largest temporary, in int64 entries, that theorem 1's batched passes
+# over families build; a single family always goes through whole.
+_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -332,18 +336,23 @@ def union_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Partition:
 
 
 def join_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
-    """Congruence join over ultrafilter members of the member-wise meets."""
+    """Congruence join over ultrafilter members of the member-wise meets.
+
+    One union-find call merges every element with its least member in
+    every member's meet.
+    """
     sigmas = _validated_sigmas(algebra, sigmas, ultra)
-    parts = []
+    meets = []
     for member in ultra.members:
         meet = None
         for k in mask_elements(member):
             meet = sigmas[k] if meet is None else meet.meet(sigmas[k])
-        parts.append(meet)
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.join(p)
-    return Congruence(algebra, out)
+        meets.append(meet.class_id)
+    least = np.array(meets, dtype=np.int64).ravel()
+    elements = np.tile(np.arange(algebra.size, dtype=np.int64), len(meets))
+    apart = least != elements
+    joined = _union_stack(np.arange(algebra.size, dtype=np.int64)[None], elements[apart], least[apart])
+    return Congruence(algebra, joined[0])
 
 
 class _FamilyImages:

@@ -1,9 +1,10 @@
 """Property tests: product tables and the homomorphism test against per-tuple oracles."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ultracon import ElemMap, direct_product, is_homomorphism
+from ultracon import ElemMap, con_lattice_bruteforce, congruence, direct_product, is_homomorphism, quotient
 
 from oracles import naive_is_homomorphism, naive_product_table
 from test_congruence_properties import PROPERTY, algebras
@@ -36,3 +37,32 @@ def test_is_homomorphism_matches_the_per_tuple_oracle(prod, data):
             maps.append((ElemMap(source.size, target.size, image), source, target))
     for h, source, target in maps:
         assert is_homomorphism(h, source, target) == naive_is_homomorphism(h, source, target), h
+
+
+@st.composite
+def maps_between_algebras(draw):
+    """(h, source, target): a source of 1-5 elements and either its
+    projection onto a quotient, perhaps with one image changed, or any
+    map into an algebra of the same signature."""
+    source = draw(algebras(max_size=5))
+    if draw(st.booleans()):
+        target = quotient(source, draw(st.sampled_from(list(con_lattice_bruteforce(source)))))
+        image = list(target.projection.image)
+        if draw(st.booleans()):
+            image[draw(st.integers(0, source.size - 1))] = draw(st.integers(0, target.size - 1))
+    else:
+        target = draw(algebras(max_size=5, signature=source.signature))
+        image = draw(st.lists(st.integers(0, target.size - 1), min_size=source.size, max_size=source.size))
+    return ElemMap(source.size, target.size, image), source, target
+
+
+@PROPERTY
+@given(maps_between_algebras())
+def test_is_homomorphism_matches_the_per_tuple_oracle_at_every_cap(case):
+    # at n entries and at 1 every block is one first argument
+    h, source, target = case
+    expected = naive_is_homomorphism(h, source, target)
+    for cap in (congruence._STACK_ENTRIES, source.size, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(congruence, "_STACK_ENTRIES", cap)
+            assert is_homomorphism(h, source, target) == expected, cap

@@ -18,9 +18,11 @@ from ultracon import (
     make_algebra,
     parse_partition,
     principal_congruence,
+    principal_ultrafilter,
 )
 from ultracon import congruence
 from ultracon.congruence import format_partition
+from ultracon.constructions import _least_member_labels
 
 from oracles import (
     matrix_to_blocks,
@@ -166,7 +168,7 @@ def test_stacked_validation_is_the_same_in_chunks(corpus, monkeypatch):
         whole = congruence._congruence_violations(alg, labels)
         assert whole == [naive_first_violation(alg, p.class_id) for p in parts], alg.name
         with monkeypatch.context() as patch:
-            patch.setattr(congruence, "_BATCH_ENTRIES", 2 * alg.size**2)
+            patch.setattr(congruence, "_STACK_ENTRIES", 2 * alg.size**2)
             assert congruence._congruence_violations(alg, labels) == whole, alg.name
 
 
@@ -350,6 +352,24 @@ def test_con_lattice_memory_is_bounded(by_name):
         tracemalloc.stop()
     assert len(lattice) == 374
     assert peak <= 4 * 2**20
+
+
+def test_validating_dstar_on_a_large_product_goes_a_block_at_a_time(z3):
+    # D* on Z3^6, three classes of 243 elements: each check holds at most
+    # _STACK_ENTRIES entries at a time, where the whole |P|^2 passes
+    # peaked at 9.2 MiB
+    prod = direct_product((z3,) * 6)
+    labels = _least_member_labels(prod, [np.arange(3)[None]] * 6, principal_ultrafilter(6, 2))[0]
+    alg = _fresh(prod)
+    Congruence(_fresh(z3), [0, 1, 2])  # warm up numpy before tracing
+    tracemalloc.start()
+    try:
+        dstar = Congruence(alg, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dstar.num_classes == 3 and dstar.class_id in alg._congruences
+    assert peak < 2 * 2**20
 
 
 def test_con_as_algebra_shapes(c3, s2):

@@ -171,6 +171,36 @@ def test_stacked_validation_matches_oracles_row_by_row(case):
         assert witness == naive_first_violation(algebra, p.class_id)
 
 
+# Position 0 fails at a = 3 and a = 2, which a block of table rows taken
+# class by class meets in that order.
+LATER_MEMBER_FIRST = (make_algebra([("f", 2)], 5, {"f": [[0, 0, 1, 1, 0][x] for x in range(5) for _ in range(5)]}),
+                      [Partition([0, 1, 1, 0, 1])])
+# Position 1 fails after the least member 0 only at a = 3, and after the
+# least member 1 at a = 2.
+LATER_PREFIX_FIRST = (make_algebra([("f", 2)], 4, {"f": [0, 0, 0, 1] + [0, 0, 1, 0] * 3}),
+                      [Partition([0, 1, 1, 1])])
+
+
+@PROPERTY
+@given(algebras_with_partitions())
+@example(LATER_MEMBER_FIRST)
+@example(LATER_PREFIX_FIRST)
+def test_stacked_validation_matches_the_oracle_at_every_cap(case):
+    # at the default cap every stack goes through in one pass per
+    # position; below one row's table each row goes by itself, a block of
+    # table rows at a time: n**arity - 1 entries hold several rows, n
+    # entries and 1 entry one row or one tuple of earlier arguments, so
+    # that blocks split inside a class and inside a row
+    algebra, parts = case
+    labels = np.array([p.class_id for p in parts], dtype=np.int64)
+    expected = [naive_first_violation(algebra, p.class_id) for p in parts]
+    most = max((k for _, k in algebra.signature.symbols), default=0)
+    for cap in (congruence._STACK_ENTRIES, max(1, algebra.size ** most - 1), algebra.size, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(congruence, "_STACK_ENTRIES", cap)
+            assert _congruence_violations(algebra, labels) == expected, cap
+
+
 @PROPERTY
 @given(algebras_with_partitions())
 def test_validation_agrees_with_the_oracle_on_first_and_repeated_calls(case):

@@ -44,6 +44,7 @@ from oracles import (
     matrix_to_blocks,
     naive_first_mismatch,
     naive_first_violation,
+    naive_is_homomorphism,
     naive_join_matrix,
     relation_matrix,
 )
@@ -620,22 +621,54 @@ def test_verify_thm3_exhaustive_small(c3, s2):
 
 
 def test_a_join_of_meets_that_is_not_a_congruence_fails_its_check(c3, monkeypatch):
-    # every join also relates each carrier's last element to 0: on C3 the
-    # join of the identity meets becomes [[0,2],[1]], not a congruence of
-    # the chain; the verifier must report that, not raise it
-    def joined_with_last(left, right):
-        out = left.copy()
+    # the union-find that joins the meets also relates each carrier's last
+    # element to 0: on C3 the join of the identity meets becomes
+    # [[0,2],[1]], not a congruence of the chain; the verifier must report
+    # that, not raise it
+    union_stack = theorems._union_stack
+
+    def joined_with_last(labels, a, b):
+        out = union_stack(labels, a, b)
         out[:, -1] = 0
         return out
 
     sigmas, ultra = [Partition.identity(3)] * 2, principal_ultrafilter(2, 0)
-    monkeypatch.setattr(congruence, "_join_stack", joined_with_last)
+    monkeypatch.setattr(theorems, "_union_stack", joined_with_last)
     with pytest.raises(ValidationError, match="not a congruence") as raised:
         join_of_meets(c3, sigmas, ultra)
     report = verify_thm3(c3, sigmas, ultra)
     assert not report.passed
     assert [c.name for c in report.checks if not c.passed] == ["join-of-meets-equals-union"]
     assert report.checks[3].witness == {"reason": str(raised.value)}
+
+
+def test_a_union_of_meets_that_is_not_a_congruence_fails_its_check(c3, monkeypatch):
+    # the union is replaced by [[0,2],[1]]: an equivalence, but no
+    # congruence of the chain C3; the reason names the oracle's witness
+    skew = Partition.from_blocks(3, [[0, 2], [1]])
+    monkeypatch.setattr(theorems, "_union_of_meets_matrix", lambda algebra, sigmas, ultra: skew.to_matrix())
+    report = verify_thm3(c3, [sigma_a(), sigma_b()], principal_ultrafilter(2, 0))
+    checks = {c.name: c for c in report.checks}
+    assert checks["union-of-meets-is-equivalence"].passed
+    assert not checks["union-of-meets-is-congruence"].passed and not report.passed
+    sym, pos, a, b, flat = naive_first_violation(c3, skew.class_id)
+    reason = (f"not a congruence of C3: {sym!r} at argument {pos} separates related elements "
+              f"{a}~{b} (argument index {flat})")
+    assert checks["union-of-meets-is-congruence"].witness == {"reason": reason}
+
+
+def test_an_embedding_that_is_not_a_homomorphism_fails_its_check(z3, monkeypatch):
+    # the images of 0 and 1 swapped: still injective, but no longer additive
+    ultra = principal_ultrafilter(2, 1)
+    power = ultraproduct((z3, z3), ultra)
+    image = list(natural_embedding(z3, ultra, ultra_alg=power).image)
+    image[0], image[1] = image[1], image[0]
+    swapped = ElemMap(z3.size, power.size, image)
+    assert swapped.is_injective() and not naive_is_homomorphism(swapped, z3, power)
+    monkeypatch.setattr(theorems, "natural_embedding", lambda algebra, ultra, ultra_alg=None: swapped)
+    report = verify_thm3(z3, [Partition.identity(3)] * 2, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["natural-embedding-is-injective-homomorphism"].passed and not report.passed
 
 
 def test_verify_thm3_rejects_wrong_family_size(c3):
