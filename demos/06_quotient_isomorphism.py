@@ -53,7 +53,7 @@ print("kernel = product congruence of the family")
 
 # road 2: ultraproduct first, then quotient by the transferred congruence
 power = ultraproduct(factors, ultra)
-transferred = congruence_on_ultraproduct(family, ultra, power)
+transferred = congruence_on_ultraproduct(family, ultra)
 other_road = quotient(power, transferred)
 print("quotient of the ultraproduct: size", other_road.size)
 

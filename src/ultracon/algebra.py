@@ -78,6 +78,11 @@ class Signature:
         return f"Signature({inner})"
 
 
+def _is_element(value, size: int) -> bool:
+    """Is value an int (bools excluded) in 0..size-1?"""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
 def _check_ints(values, bound, describe) -> None:
     """Raise ValidationError(describe(index, value)) for the first entry of
     the sequence `values` that is not an int (bools excluded) in 0..bound-1.
@@ -88,7 +93,7 @@ def _check_ints(values, bound, describe) -> None:
     if set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) < bound)):
         return
     for idx, value in enumerate(values):
-        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
+        if not _is_element(value, bound):
             raise ValidationError(describe(idx, value))
 
 
@@ -192,7 +197,7 @@ class Algebra:
             raise ValidationError(f"{symbol!r} takes {arity} arguments, got {len(args)}")
         idx = 0
         for a in args:
-            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.size:
+            if not _is_element(a, self.size):
                 raise ValidationError(f"argument {a!r} is outside the carrier 0..{self.size - 1}")
             idx = idx * self.size + a
         return self.table(symbol)[idx]
@@ -365,13 +370,13 @@ class ProductAlgebra(Algebra):
             raise ValidationError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
         out = 0
         for c, f, s in zip(coords, self.factors, self.strides):
-            if not 0 <= c < f.size:
+            if not _is_element(c, f.size):
                 raise ValidationError(f"coordinate {c!r} is outside the factor carrier 0..{f.size - 1}")
             out += c * s
         return out
 
     def decode(self, element: int) -> tuple:
-        if not 0 <= element < self.size:
+        if not _is_element(element, self.size):
             raise ValidationError(f"element {element!r} is outside the carrier 0..{self.size - 1}")
         return tuple((element // s) % f.size for f, s in zip(self.factors, self.strides))
 

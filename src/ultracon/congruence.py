@@ -740,34 +740,37 @@ def _unseen(stack: np.ndarray, seen: set) -> np.ndarray:
     return stack[keep]
 
 
-def con_lattice_bruteforce(algebra: Algebra, max_size: int = 8) -> ConLattice:
-    """Oracle: filter all Bell(n) partitions by is_congruence.  n <= 8."""
-    if algebra.size > max_size:
+BRUTE_FORCE_GUARD = 8  # Bell(8) = 4140 partitions
+
+
+def con_lattice_bruteforce(algebra: Algebra) -> ConLattice:
+    """Oracle: filter all Bell(n) partitions by is_congruence.  n <= BRUTE_FORCE_GUARD."""
+    if algebra.size > BRUTE_FORCE_GUARD:
         raise SizeGuardError(
-            f"brute force enumerates Bell({algebra.size}) partitions; guard is {max_size}"
+            f"brute force enumerates Bell({algebra.size}) partitions; guard is {BRUTE_FORCE_GUARD}"
         )
     found = [Congruence(algebra, p) for p in all_partitions(algebra.size) if is_congruence(algebra, p)]
     return ConLattice(algebra, found)
 
 
 @lru_cache(maxsize=256)
-def _con_lattice_cached(algebra, max_size):
-    return con_lattice(algebra, max_size)
+def _con_lattice_cached(algebra):
+    return con_lattice(algebra)
 
 
-def con_lattice_of(algebra: Algebra, max_size: int = DEFAULT_SIZE_GUARD) -> ConLattice:
+def con_lattice_of(algebra: Algebra) -> ConLattice:
     """Cached con_lattice; safe because algebras and lattices are immutable."""
-    return _con_lattice_cached(algebra, max_size)
+    return _con_lattice_cached(algebra)
 
 
-def con_as_algebra(lattice: ConLattice, symbol: str = "meet") -> Algebra:
+def con_as_algebra(lattice: ConLattice) -> Algebra:
     """The congruence lattice as a meet-semilattice algebra.
 
     Carrier = lattice indices in canonical order; one binary operation,
     the congruence meet.
     """
     name = f"Con({lattice.algebra.name})" if lattice.algebra.name else "Con"
-    return Algebra([(symbol, 2)], len(lattice), {symbol: lattice.meet_table().ravel()}, name=name)
+    return Algebra([("meet", 2)], len(lattice), {"meet": lattice.meet_table().ravel()}, name=name)
 
 
 def con_lattice_dot(lattice: ConLattice) -> str:

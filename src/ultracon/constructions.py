@@ -117,14 +117,13 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
     return Congruence(product, _least_member_labels(product, identities, ultra)[0])
 
 
-def product_congruence(family: CongruenceFamily, ultra: UltrafilterD,
-                       max_size: int = DEFAULT_SIZE_GUARD) -> Congruence:
+def product_congruence(family: CongruenceFamily, ultra: UltrafilterD) -> Congruence:
     """Relate x, y iff {i : x_i and y_i are family[i]-related} is a member.
 
     Always contains the almost-everywhere-equal congruence of the same
     ultrafilter.
     """
-    product = direct_product(family.factors, max_size)
+    product = direct_product(family.factors)
     _check_index_match(len(product.factors), ultra)
     class_ids = [[c.class_id] for c in family.choice]
     return Congruence(product, _least_member_labels(product, class_ids, ultra)[0])

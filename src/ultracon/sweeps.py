@@ -27,7 +27,8 @@ from .theorems import (
 from .ultrafilter import enumerate_ultrafilters
 
 DEFAULT_MAX_PRODUCT = 81
-DEFAULT_INDEX_SIZES = (2, 3)
+INDEX_SIZES = (2, 3)
+THM3_MAX_ALGEBRA_SIZE = 4
 
 
 @dataclass
@@ -68,10 +69,10 @@ def signature_groups(algebras) -> list:
     return [(sig, tuple(members)) for sig, members in groups]
 
 
-def iter_instances(algebras, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = DEFAULT_MAX_PRODUCT):
+def iter_instances(algebras, max_product: int = DEFAULT_MAX_PRODUCT):
     """Yield (factors, ultrafilter) for every qualifying selection."""
     for _, members in signature_groups(algebras):
-        for count in index_sizes:
+        for count in INDEX_SIZES:
             ultras = enumerate_ultrafilters(count)
             for combo in combinations_with_replacement(members, count):
                 size = 1
@@ -97,14 +98,11 @@ def _tally(out: SweepResult, detail: dict, reports) -> None:
     out.details.append({**detail, "families": families, "failures": bad})
 
 
-def sweep_thm1(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = DEFAULT_MAX_PRODUCT,
-               seed: int = 0, exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-               sample_size: int = SAMPLE_SIZE) -> SweepResult:
+def sweep_thm1(algebras, *, max_product: int = DEFAULT_MAX_PRODUCT, seed: int = 0) -> SweepResult:
     """verify_thm1 on every instance (it sweeps families internally)."""
     out = SweepResult("thm1")
-    for factors, ultra in iter_instances(algebras, index_sizes, max_product):
-        report = verify_thm1(factors, ultra, seed=seed,
-                             exhaustive_limit=exhaustive_limit, sample_size=sample_size)
+    for factors, ultra in iter_instances(algebras, max_product):
+        report = verify_thm1(factors, ultra, seed=seed)
         out.instances += 1
         out.families += report.info["families_checked"]
         out.details.append({
@@ -117,33 +115,29 @@ def sweep_thm1(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = 
     return out
 
 
-def sweep_thm2(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_product: int = DEFAULT_MAX_PRODUCT,
-               seed: int = 0, exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-               sample_size: int = SAMPLE_SIZE) -> SweepResult:
+def sweep_thm2(algebras, *, max_product: int = DEFAULT_MAX_PRODUCT, seed: int = 0) -> SweepResult:
     """verify_thm2 on every family of every instance."""
     out = SweepResult("thm2")
     rng = random.Random(seed)
-    for factors, ultra in iter_instances(algebras, index_sizes, max_product):
+    for factors, ultra in iter_instances(algebras, max_product):
         lattices = [con_lattice_of(f) for f in factors]
-        fam_ids, _ = _family_ids([len(lat) for lat in lattices], exhaustive_limit, sample_size, rng)
+        fam_ids, _ = _family_ids([len(lat) for lat in lattices], EXHAUSTIVE_LIMIT, SAMPLE_SIZE, rng)
         detail = {"factors": [f.name for f in factors],
                   "ultrafilter": [list(s) for s in ultra.members_as_sets()]}
         _tally(out, detail, (verify_thm2(_family_from_id(fid, factors, lattices), ultra) for fid in fam_ids))
     return out
 
 
-def sweep_thm3(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_algebra_size: int = 4,
-               seed: int = 0, exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-               sample_size: int = SAMPLE_SIZE) -> SweepResult:
+def sweep_thm3(algebras, *, seed: int = 0) -> SweepResult:
     """verify_thm3 on every sigma-family of every small corpus algebra."""
     out = SweepResult("thm3")
     rng = random.Random(seed)
     for algebra in algebras:
-        if algebra.size > max_algebra_size:
+        if algebra.size > THM3_MAX_ALGEBRA_SIZE:
             continue
         lattice = con_lattice_of(algebra)
-        for count in index_sizes:
-            fam_ids, _ = _family_ids([len(lattice)] * count, exhaustive_limit, sample_size, rng)
+        for count in INDEX_SIZES:
+            fam_ids, _ = _family_ids([len(lattice)] * count, EXHAUSTIVE_LIMIT, SAMPLE_SIZE, rng)
             families = [_family_from_id(fid, (algebra,) * count, [lattice] * count) for fid in fam_ids]
             for ultra in enumerate_ultrafilters(count):
                 detail = {"algebra": algebra.name,
@@ -152,15 +146,14 @@ def sweep_thm3(algebras, *, index_sizes=DEFAULT_INDEX_SIZES, max_algebra_size: i
     return out
 
 
-def sweep_principal_collapse(algebras, *, index_sizes=DEFAULT_INDEX_SIZES,
-                             max_product: int = DEFAULT_MAX_PRODUCT) -> SweepResult:
+def sweep_principal_collapse(algebras, *, max_product: int = DEFAULT_MAX_PRODUCT) -> SweepResult:
     """Ultraproduct with a principal ultrafilter is isomorphic to the chosen factor.
 
     Verified with an explicit witness, checked in both directions by the
     isomorphism search itself.
     """
     out = SweepResult("principal-collapse")
-    for factors, ultra in iter_instances(algebras, index_sizes, max_product):
+    for factors, ultra in iter_instances(algebras, max_product):
         out.instances += 1
         i0 = ultra.principal_index()
         power = ultraproduct(factors, ultra)

@@ -32,7 +32,6 @@ import numpy as np
 from .algebra import (
     Algebra,
     ElemMap,
-    QuotientAlgebra,
     _coordinate_vectors,
     _product_tables,
     _radix_sums,
@@ -187,56 +186,37 @@ def _ultra_text(ultra: UltrafilterD) -> list:
     return [list(s) for s in ultra.members_as_sets()]
 
 
-def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD,
-                               ultra_alg: UltraproductAlgebra | None = None,
-                               theta: Congruence | None = None) -> Congruence:
+def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD) -> Congruence:
     """The family's product congruence carried down to the ultraproduct.
 
     The product congruence always contains almost-everywhere equality, so
     it induces a congruence on the quotient by it; this is the embedding
-    of theorem 1, evaluated at one family.  A caller that already holds
-    the family's product congruence passes it as theta.
+    of theorem 1, evaluated at one family.
     """
-    if ultra_alg is None:
-        ultra_alg = ultraproduct(family.factors, ultra)
-    if theta is None:
-        theta = product_congruence(family, ultra)
+    ultra_alg = ultraproduct(family.factors, ultra)
+    theta = product_congruence(family, ultra)
     return induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
 
 
-def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD, quots=None,
-                                quot_ultra: UltraproductAlgebra | None = None) -> ElemMap:
+def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD) -> ElemMap:
     """Product element -> class of its tuple of per-factor congruence classes.
 
     Maps the direct product of the factors onto the ultraproduct of the
-    factor quotients (theorem 2's homomorphism).  A caller that already
-    holds the factor quotients, or also their ultraproduct, passes them.
+    factor quotients (theorem 2's homomorphism).
     """
     factors = family.factors
     prod = direct_product(factors)
-    if quots is None:
-        quots = [quotient(f, c) for f, c in zip(factors, family.choice)]
-    elif len(quots) != len(factors) or not all(
-            isinstance(q, QuotientAlgebra) and q.parent == f and q.congruence == c
-            for q, f, c in zip(quots, factors, family.choice)):
-        raise ValidationError("supplied quotients are not the family's factors by its congruences")
-    if quot_ultra is None:
-        quot_ultra = ultraproduct(quots, ultra)
-    elif quot_ultra.factors != tuple(quots) or quot_ultra.ultrafilter != ultra:
-        raise ValidationError("supplied ultraproduct is not of these quotients over this ultrafilter")
+    quots = [quotient(f, c) for f, c in zip(factors, family.choice)]
+    quot_ultra = ultraproduct(quots, ultra)
     # the element of the quotients' product with coordinates proj_i(x_i)
     index = _radix_sums([q.projection_array[None, :] * stride
                          for q, stride in zip(quots, quot_ultra.product.strides)])[0]
     return ElemMap(prod.size, quot_ultra.size, quot_ultra.projection_array[index].tolist())
 
 
-def natural_embedding(algebra: Algebra, ultra: UltrafilterD,
-                      ultra_alg: UltraproductAlgebra | None = None) -> ElemMap:
+def natural_embedding(algebra: Algebra, ultra: UltrafilterD) -> ElemMap:
     """a -> class of the constant tuple (a, ..., a) in the ultrapower."""
-    if ultra_alg is None:
-        ultra_alg = ultraproduct((algebra,) * ultra.n, ultra)
-    if ultra_alg.factors != (algebra,) * ultra.n:
-        raise ValidationError("supplied ultraproduct is not an ultrapower of this algebra")
+    ultra_alg = ultraproduct((algebra,) * ultra.n, ultra)
     image = [ultra_alg.projection[ultra_alg.product.encode((a,) * ultra.n)] for a in algebra.elements]
     return ElemMap(algebra.size, ultra_alg.size, image)
 
@@ -595,9 +575,8 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     factors = family.factors
     prod = direct_product(factors)
     ultra_alg = ultraproduct(factors, ultra)
-    quots = tuple(quotient(f, c) for f, c in zip(factors, family.choice))
-    quot_ultra = ultraproduct(quots, ultra)
-    cmap = coordinatewise_quotient_map(family, ultra, quots, quot_ultra)
+    quot_ultra = ultraproduct([quotient(f, c) for f, c in zip(factors, family.choice)], ultra)
+    cmap = coordinatewise_quotient_map(family, ultra)
 
     checks = []
 
@@ -635,7 +614,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     checks.append(Check("kernel-is-product-congruence", ker_witness is None, ker_witness))
 
     # factor the map through ultraproduct / transferred congruence
-    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg, theta=theta)
+    transferred = induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
     inner = quotient(ultra_alg, transferred)
     image = np.asarray(cmap.image, dtype=np.int64)
     over = inner.projection_array[ultra_alg.projection_array]  # inner element below each p
@@ -727,12 +706,12 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
 
     # pull the transferred congruence back along the natural embedding
     power = ultraproduct((algebra,) * ultra.n, ultra)
-    embed = natural_embedding(algebra, ultra, ultra_alg=power)
+    embed = natural_embedding(algebra, ultra)
     embed_ok = embed.is_injective() and is_homomorphism(embed, algebra, power)
     checks.append(Check("natural-embedding-is-injective-homomorphism", embed_ok))
 
     family = CongruenceFamily((algebra,) * ultra.n, sigmas)
-    transferred = congruence_on_ultraproduct(family, ultra, ultra_alg=power)
+    transferred = congruence_on_ultraproduct(family, ultra)
     pulled = Partition([transferred.class_id[embed[a]] for a in algebra.elements])
     pull_witness = None
     if not np.array_equal(pulled.to_matrix(), restr_matrix):

@@ -56,6 +56,11 @@ class AxiomViolation:
         return self.message
 
 
+def _check_index_size(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"index set size must be a positive int, got {n!r}")
+
+
 def _check_masks(n: int, members) -> tuple:
     full = (1 << n) - 1
     mset = set()
@@ -68,8 +73,7 @@ def _check_masks(n: int, members) -> tuple:
 
 def check_ultrafilter(n: int, members) -> AxiomViolation | None:
     """First violated axiom among (1)-(4), or None for an ultrafilter."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"index set size must be a positive int, got {n!r}")
+    _check_index_size(n)
     full, mset = _check_masks(n, members)
     if full not in mset:
         return AxiomViolation(1, (full,), "axiom (1) fails: the whole index set is not in the family")
@@ -189,6 +193,7 @@ class UltrafilterD:
 
 def principal_ultrafilter(n: int, i0: int) -> UltrafilterD:
     """All subsets containing i0."""
+    _check_index_size(n)
     if not isinstance(i0, int) or isinstance(i0, bool) or not 0 <= i0 < n:
         raise ValidationError(f"principal index {i0!r} is outside the index set 0..{n - 1}")
     bit = 1 << i0
@@ -202,8 +207,7 @@ def enumerate_ultrafilters(n: int) -> list:
     the result is exactly the n principal ultrafilters, and callers are
     expected to check that rather than assume it.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"index set size must be a positive int, got {n!r}")
+    _check_index_size(n)
     if n > ENUMERATION_LIMIT:
         raise ValidationError(
             f"enumerating families over a {n}-element index set means 2**{1 << n} candidates; "

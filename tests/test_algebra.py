@@ -115,6 +115,18 @@ def test_direct_product_mixed_radix(s2, c3):
         p.encode((2, 0))
 
 
+@pytest.mark.parametrize("value", [True, 2.5, -1, 6])
+def test_decode_rejects_what_is_not_a_product_element(value, s2, c3):
+    with pytest.raises(ValidationError, match=f"element {value!r} is outside"):
+        direct_product([s2, c3]).decode(value)
+
+
+@pytest.mark.parametrize("value", [True, 0.5, -1, 2])
+def test_encode_rejects_what_is_not_a_coordinate(value, s2, c3):
+    with pytest.raises(ValidationError, match=f"coordinate {value!r} is outside"):
+        direct_product([s2, c3]).encode((value, 0))
+
+
 def test_direct_product_acts_coordinatewise(corpus):
     random_pairs = random.Random(7)
     small = [a for a in corpus if a.signature.names == ("op",)][:6]

@@ -36,7 +36,7 @@ from ultracon import (
 )
 from ultracon import congruence, constructions, theorems
 from ultracon.algebra import DEFAULT_SIZE_GUARD, _quotient_cached
-from ultracon.congruence import con_as_algebra, con_lattice_of, format_partition, parse_partition
+from ultracon.congruence import Congruence, con_as_algebra, con_lattice_of, format_partition, parse_partition
 
 from oracles import (
     UpSet,
@@ -182,7 +182,7 @@ def test_batched_images_match_one_family_at_a_time(names, exhaustive_limit, by_n
         image_of.add(fam_ids)
         for fid in range(total):
             family = theorems._family_from_id(fid, factors, lattices)
-            assert image_of(fid) == congruence_on_ultraproduct(family, ultra, ultra_alg=ultra_alg), (i0, fid)
+            assert image_of(fid) == congruence_on_ultraproduct(family, ultra), (i0, fid)
 
 
 @pytest.mark.parametrize("filt", [UpSet(3, 0b101), UpSet(3, 0b010)]
@@ -491,6 +491,17 @@ def test_factor_check_names_the_first_element_off_the_induced_map(names, by_name
     assert failed
 
 
+@pytest.mark.parametrize("names", [("C3", "C3"), ("S2", "C3", "S2")])
+def test_verify_thm2_reports_the_public_transferred_congruence(names, by_name):
+    factors = [by_name[n] for n in names]
+    for i0 in range(len(factors)):
+        ultra = principal_ultrafilter(len(factors), i0)
+        for choice in iter_product(*(con_lattice_of(f) for f in factors)):
+            family = CongruenceFamily(factors, choice)
+            got = verify_thm2(family, ultra).info["transferred_congruence"]
+            assert got == format_partition(congruence_on_ultraproduct(family, ultra)), (i0, got)
+
+
 def test_induced_isomorphism_check_is_kept_per_map(c3, monkeypatch):
     # the quotient ultraproduct here is a two-element chain; swapping its
     # elements in the coordinatewise map keeps the map well defined on the
@@ -554,18 +565,11 @@ def test_natural_embedding_properties(corpus):
             for i0 in range(count):
                 ultra = principal_ultrafilter(count, i0)
                 power = ultraproduct((alg,) * count, ultra)
-                embed = natural_embedding(alg, ultra, ultra_alg=power)
+                embed = natural_embedding(alg, ultra)
                 assert embed.is_injective()
                 assert is_homomorphism(embed, alg, power)
                 if count == 1:
                     assert embed.is_bijective()
-
-
-def test_natural_embedding_rejects_wrong_power(c3, s2):
-    ultra = principal_ultrafilter(2, 0)
-    wrong = ultraproduct([s2, s2], ultra)
-    with pytest.raises(ValidationError):
-        natural_embedding(c3, ultra, ultra_alg=wrong)
 
 
 def test_diagonal_restriction_examples(c3):
@@ -661,14 +665,62 @@ def test_an_embedding_that_is_not_a_homomorphism_fails_its_check(z3, monkeypatch
     # the images of 0 and 1 swapped: still injective, but no longer additive
     ultra = principal_ultrafilter(2, 1)
     power = ultraproduct((z3, z3), ultra)
-    image = list(natural_embedding(z3, ultra, ultra_alg=power).image)
+    image = list(natural_embedding(z3, ultra).image)
     image[0], image[1] = image[1], image[0]
     swapped = ElemMap(z3.size, power.size, image)
     assert swapped.is_injective() and not naive_is_homomorphism(swapped, z3, power)
-    monkeypatch.setattr(theorems, "natural_embedding", lambda algebra, ultra, ultra_alg=None: swapped)
+    monkeypatch.setattr(theorems, "natural_embedding", lambda algebra, ultra: swapped)
     report = verify_thm3(z3, [Partition.identity(3)] * 2, ultra)
     checks = {c.name: c for c in report.checks}
     assert not checks["natural-embedding-is-injective-homomorphism"].passed and not report.passed
+
+
+def test_a_union_of_meets_that_differs_from_the_restriction_fails_its_check(c3, monkeypatch):
+    # the union is replaced by the full relation, a congruence of C3, while
+    # the restriction at index 0 is sigma_a: the witness is the first pair
+    # where the two matrices differ
+    sigmas, ultra = [sigma_a(), sigma_b()], principal_ultrafilter(2, 0)
+    full = np.ones((3, 3), dtype=bool)
+    restr = diagonal_restriction(c3, sigmas, ultra).to_matrix()
+    a, b = map(int, np.argwhere(restr != full)[0])
+    monkeypatch.setattr(theorems, "_union_of_meets_matrix", lambda algebra, sigmas, ultra: full)
+    report = verify_thm3(c3, sigmas, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["union-of-meets-equals-restriction"].passed and not report.passed
+    assert checks["union-of-meets-equals-restriction"].witness == {
+        "pair": [a, b], "in_restriction": False, "in_union_of_meets": True}
+
+
+def test_a_union_of_meets_that_is_not_transitive_fails_its_check(c3, monkeypatch):
+    # 0~1 and 1~2 but not 0~2: reflexive and symmetric, not transitive
+    chain = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+    with pytest.raises(ValidationError, match="not transitive") as raised:
+        Partition.from_matrix(chain)
+    monkeypatch.setattr(theorems, "_union_of_meets_matrix", lambda algebra, sigmas, ultra: chain)
+    report = verify_thm3(c3, [sigma_a(), sigma_b()], principal_ultrafilter(2, 0))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["union-of-meets-is-equivalence"].passed and not report.passed
+    assert checks["union-of-meets-is-equivalence"].witness == {"reason": str(raised.value)}
+    assert checks["union-of-meets-is-congruence"].witness == {"reason": "union is not even an equivalence"}
+
+
+def test_a_pullback_that_differs_from_the_restriction_fails_its_check(c3, monkeypatch):
+    # the transferred congruence is replaced by the ultrapower's identity,
+    # which pulls back to the identity of C3, not to sigma_b
+    sigmas, ultra = [sigma_a(), sigma_b()], principal_ultrafilter(2, 1)
+    restr = diagonal_restriction(c3, sigmas, ultra).to_matrix()
+    a, b = map(int, np.argwhere(restr != np.eye(3, dtype=bool))[0])
+
+    def identity(family, ultra):
+        power = ultraproduct(family.factors, ultra)
+        return Congruence(power, Partition.identity(power.size))
+
+    monkeypatch.setattr(theorems, "congruence_on_ultraproduct", identity)
+    report = verify_thm3(c3, sigmas, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["pullback-along-embedding-equals-restriction"].passed and not report.passed
+    assert checks["pullback-along-embedding-equals-restriction"].witness == {
+        "pair": [a, b], "pullback_relates": False, "restriction_relates": True}
 
 
 def test_verify_thm3_rejects_wrong_family_size(c3):

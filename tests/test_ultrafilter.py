@@ -36,6 +36,12 @@ def test_principal_ultrafilter_members():
         principal_ultrafilter(3, 3)
 
 
+@pytest.mark.parametrize("n", [2.0, True, 0, "2"])
+def test_principal_ultrafilter_checks_the_index_set_size(n):
+    with pytest.raises(ValidationError, match=f"index set size must be a positive int, got {n!r}"):
+        principal_ultrafilter(n, 0)
+
+
 def test_member_checks_universe():
     d = principal_ultrafilter(2, 0)
     assert d.member(0b01) and not d.member(0b10)
