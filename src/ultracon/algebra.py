@@ -36,7 +36,10 @@ class Signature:
     def __init__(self, symbols):
         syms = []
         for entry in symbols:
-            name, arity = entry
+            try:
+                name, arity = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"signature entry {entry!r} is not a (name, arity) pair") from None
             if not isinstance(name, str) or not name:
                 raise ValidationError(f"symbol name must be a non-empty string, got {name!r}")
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
@@ -307,11 +310,8 @@ class ElemMap:
 def _coordinate_vectors(sizes, strides, elements):
     """Per-factor coordinates of product elements, as int64 vectors.
 
-    elements is a count, meaning every element 0..count-1, or an array of
-    elements.
+    elements is an array or list of elements.
     """
-    if isinstance(elements, int):
-        elements = np.arange(elements)
     base = np.asarray(elements, dtype=np.int64)
     return [(base // strides[i]) % sizes[i] for i in range(len(sizes))]
 
@@ -553,7 +553,7 @@ def load_algebra(path) -> Algebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return algebra_from_dict(data)

@@ -18,7 +18,8 @@ Replacing each of those arguments by its least member keeps both results'
 classes, so a failure at any tuple is also a failure at one whose first j
 arguments are least members, and that tuple is no later in (a, other
 arguments) order: the first witness is the same.  Tables too large for one
-pass are checked that way, a block of first arguments at a time.
+pass are checked that way, a block at a time: a block holds a few such
+prefixes, every a and a run of the arguments after position j.
 """
 
 import json
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_SIZE_GUARD, Algebra
+from .algebra import DEFAULT_SIZE_GUARD, Algebra, _is_element
 from .errors import SizeGuardError, ValidationError
 
 
@@ -77,7 +78,7 @@ class Partition:
             if not block:
                 raise ValidationError("empty block in partition")
             for e in block:
-                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
+                if not _is_element(e, size):
                     raise ValidationError(f"block element {e!r} is outside the carrier 0..{size - 1}")
                 if labels[e] is not None:
                     raise ValidationError(f"element {e} appears in two blocks")
@@ -94,7 +95,7 @@ class Partition:
         # checked before any array sees them: numpy reads -1 as the last element
         for pair in pairs:
             for e in pair:
-                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
+                if not _is_element(e, size):
                     raise ValidationError(f"pair element {e!r} is outside the carrier 0..{size - 1}")
         ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return cls(_union_stack(np.arange(size, dtype=np.int64)[None], ends[:, 0], ends[:, 1])[0])
@@ -250,7 +251,7 @@ def _congruence_violations(algebra: Algebra, labels: np.ndarray) -> list:
     from flat `index` changes the result's class.  It is the first such
     failure in (symbol, position, a, other arguments) order.  Rows go
     through a chunk at a time (_separations), so that no temporary exceeds
-    _STACK_ENTRIES entries unless one table row does.
+    _STACK_ENTRIES entries, or n entries if the carrier is larger.
     """
     n = algebra.size
     out = [None] * len(labels)
@@ -288,7 +289,7 @@ def _separations(table: np.ndarray, cid: np.ndarray, least: np.ndarray):
     tables fit _STACK_ENTRIES together, each position is one pass: every
     element's row of classes, with that position's axis first, compared
     with its least member's row.  A single row too large for that goes
-    through _row_separations.
+    through _row_separations, a block at a time.
     """
     count, n = cid.shape
     if count * table.size > _STACK_ENTRIES:
@@ -312,72 +313,41 @@ def _separations(table: np.ndarray, cid: np.ndarray, least: np.ndarray):
 
 def _row_separations(table: np.ndarray, labels: np.ndarray):
     """_separations for one labelling, a block of at most _STACK_ENTRIES
-    entries at a time (or one table row, if that is larger).
+    entries at a time (or of n, if that is larger).
 
-    Position 0 goes through _first_position_scan.  Position j > 0 is
-    looked at only at tuples whose first j arguments are least members of
-    their classes, and _congruence_violations reads position j only if
-    every earlier one passed.  That is enough: the earlier positions then
-    let each of the first j arguments be replaced by its least member
-    without changing either result's class, so a failure anywhere is also
-    a failure at a tuple that is no later in (a, other arguments) order.
-    Those tuples go through a few prefixes of first j arguments at a
-    time, each with every a and every later argument.
+    Position j is looked at only at tuples whose first j arguments are
+    least members of their classes (for j = 0, the empty prefix), and
+    _congruence_violations reads position j only if every earlier one
+    passed.  That is enough: the earlier positions then let each of the
+    first j arguments be replaced by its least member without changing
+    either result's class, so a failure anywhere is also a failure at a
+    tuple that is no later in (a, other arguments) order.  A block holds
+    a few of those prefixes, every a and a run of the later arguments, so
+    each a's least member is in the same block.
     """
     n = len(labels)
-    yield _first_position_scan(table.reshape(n, -1), labels)
     reps = np.flatnonzero(labels == np.arange(n))
-    # ascending codes of the tuples of least members, in row-major order
-    prefixes = reps
-    for pos in range(1, table.ndim):
+    # ascending codes of the tuples of least members before pos, in
+    # row-major order: at position 0, the one empty tuple
+    prefixes = np.zeros(1, dtype=np.int64)
+    for pos in range(table.ndim):
         after = n ** (table.ndim - 1 - pos)
         cube = table.reshape(-1, n, after)
         first = None
-        step = max(1, _STACK_ENTRIES // (n * after))
-        for start in range(0, len(prefixes), step):
-            classes = labels.take(cube.take(prefixes[start:start + step], axis=0))
-            differ = classes != classes.take(labels, axis=1)
-            if differ.any():
-                a = int(differ.any(axis=(0, 2)).argmax())
-                p, rest = divmod(int(differ[:, a].argmax()), after)
-                # for one a the flat index ascends with (prefix, rest)
-                found = (a, (int(prefixes[start + p]) * n + a) * after + rest)
-                first = found if first is None else min(first, found)
+        for some in _chunks(len(prefixes), n * after):
+            for run in _chunks(after, n):
+                # every table entry is in the carrier, so "wrap" only skips the bounds check
+                classes = labels.take(cube[prefixes[some], :, run], mode="wrap")
+                differ = classes != classes.take(labels, axis=1)
+                if differ.any():
+                    a = int(differ.any(axis=(0, 2)).argmax())
+                    p, rest = divmod(int(differ[:, a].argmax()), classes.shape[2])
+                    # for one a the flat index ascends with (prefix, rest)
+                    found = (a, (int(prefixes[some][p]) * n + a) * after + run.start + rest)
+                    first = found if first is None else min(first, found)
         yield {} if first is None else {0: first}
-        prefixes = (prefixes[:, None] * n + reps).ravel()
-
-
-def _first_position_scan(rows: np.ndarray, labels: np.ndarray) -> dict:
-    """{0: (a, flat index)} of the first failure at position 0 of one labelling, or {}.
-
-    rows is the table shaped (n, n**(arity-1)), one row per first
-    argument, and goes through a block of rows at a time.  The elements
-    go through class by class, each class's least member first, so every
-    block holds the least members of its classes but perhaps the first
-    one's, whose row is gathered once more.
-    """
-    n, width = rows.shape
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
-    least = np.searchsorted(ranked, ranked)  # where in order each element's least member is
-    first = None
-    step = max(1, _STACK_ENTRIES // width)
-    for start in range(0, n, step):
-        pick = order[start:start + step]
-        # every table entry is in the carrier, so "wrap" only skips the bounds check
-        classes = labels.take(rows.take(pick, axis=0), mode="wrap")
-        at = least[start:start + step] - start
-        differ = classes != classes.take(np.maximum(at, 0), axis=0)
-        if at[0] < 0:  # the block opens inside a class whose least member came earlier
-            carried = np.searchsorted(at, 0)
-            differ[:carried] = classes[:carried] != labels.take(rows[order[least[start]]])
-        if differ.any():
-            # the flat index a * width + rest ascends with (a, rest)
-            hit = np.flatnonzero(differ.any(axis=1))
-            i = hit[pick[hit].argmin()]
-            flat = int(pick[i]) * width + int(differ[i].argmax())
-            first = flat if first is None else min(first, flat)
-    return {} if first is None else {0: (first // width, first)}
+        if pos + 1 < table.ndim:
+            prefixes = (prefixes[:, None] * n + reps).ravel()
 
 
 def _congruence_violation(algebra: Algebra, p: Partition):
@@ -591,7 +561,7 @@ def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
     """
     n = algebra.size
     for e in (a, b):
-        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
+        if not _is_element(e, n):
             raise ValidationError(f"generator {e!r} is outside the carrier 0..{n - 1}")
     pair = (np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
     return Congruence(algebra, next(_principal_stacks(_translations(algebra), [pair]))[0])

@@ -484,7 +484,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     checks.append(Check("injective-on-classes", inj_witness is None, inj_witness))
 
     # meet preservation: image of the coordinatewise meet is the meet of images
-    meet_witness = None
+    meet_bad = None  # (s, t, id of the family meet of s and t) where they differ
     meets = [lat.meet_table() for lat in lattices]
     if exhaustive:
         parts = image_of.images
@@ -506,25 +506,24 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
                 break
         if bad.size:
             s, t = divmod(start * total + int(bad[0]), total)
-            meet_witness = {
-                "family_a": family_text(s),
-                "family_b": family_text(t),
-                "image_of_meet": format_partition(image_of(int(fam_meet[s, t]))),
-                "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
-            }
+            meet_bad = (s, t, int(fam_meet[s, t]))
     else:
         pairs = [(rng.choice(fam_ids), rng.choice(fam_ids)) for _ in range(sample_size)]
         mids = image_of.combine(meets, [s for s, _ in pairs], [t for _, t in pairs]).tolist()
         image_of.add(mids)
         for (s, t), mid in zip(pairs, mids):
             if image_of(mid) != image_of(s).meet(image_of(t)):
-                meet_witness = {
-                    "family_a": family_text(s),
-                    "family_b": family_text(t),
-                    "image_of_meet": format_partition(image_of(mid)),
-                    "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
-                }
+                meet_bad = (s, t, mid)
                 break
+    meet_witness = None
+    if meet_bad is not None:
+        s, t, mid = meet_bad
+        meet_witness = {
+            "family_a": family_text(s),
+            "family_b": family_text(t),
+            "image_of_meet": format_partition(image_of(mid)),
+            "meet_of_images": format_partition(image_of(s).meet(image_of(t))),
+        }
     checks.append(Check("preserves-meets", meet_witness is None, meet_witness))
 
     # joins are not asserted by the theorem; report them as information

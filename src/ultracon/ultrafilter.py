@@ -17,6 +17,7 @@ some singleton {i0}.
 import json
 from dataclasses import dataclass
 
+from .algebra import _is_element
 from .errors import ValidationError
 
 ENUMERATION_LIMIT = 4  # scanning 2**(2**n) families is feasible up to here
@@ -26,7 +27,7 @@ def subset_mask(n: int, elements) -> int:
     """Bitmask of a subset given by its elements."""
     mask = 0
     for e in elements:
-        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
+        if not _is_element(e, n):
             raise ValidationError(f"index {e!r} is outside the index set 0..{n - 1}")
         mask |= 1 << e
     return mask
@@ -65,7 +66,7 @@ def _check_masks(n: int, members) -> tuple:
     full = (1 << n) - 1
     mset = set()
     for s in members:
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= full:
+        if not _is_element(s, full + 1):
             raise ValidationError(f"subset mask {s!r} is outside the power set of 0..{n - 1}")
         mset.add(s)
     return full, mset
@@ -155,8 +156,7 @@ class UltrafilterD:
 
     def member(self, subset: int) -> bool:
         """Membership of a subset bitmask; rejects masks outside the universe."""
-        full = (1 << self.n) - 1
-        if not isinstance(subset, int) or isinstance(subset, bool) or not 0 <= subset <= full:
+        if not _is_element(subset, 1 << self.n):
             raise ValidationError(
                 f"subset mask {subset!r} is outside the power set of 0..{self.n - 1} (universe mismatch)"
             )
@@ -194,7 +194,7 @@ class UltrafilterD:
 def principal_ultrafilter(n: int, i0: int) -> UltrafilterD:
     """All subsets containing i0."""
     _check_index_size(n)
-    if not isinstance(i0, int) or isinstance(i0, bool) or not 0 <= i0 < n:
+    if not _is_element(i0, n):
         raise ValidationError(f"principal index {i0!r} is outside the index set 0..{n - 1}")
     bit = 1 << i0
     return UltrafilterD(n, [s for s in range(1 << n) if s & bit])

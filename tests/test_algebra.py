@@ -8,6 +8,7 @@ import pytest
 from ultracon import (
     Algebra,
     ElemMap,
+    Signature,
     SizeGuardError,
     ValidationError,
     algebra_from_dict,
@@ -22,6 +23,13 @@ from ultracon import (
     save_algebra,
 )
 from ultracon.congruence import Partition, parse_partition
+
+
+@pytest.mark.parametrize("entry", [("op",), ("op", 2, 3), 3, None])
+def test_signature_entry_that_is_not_a_pair_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="signature entry") as info:
+        Signature([("meet", 2), entry])
+    assert repr(entry) in str(info.value)
 
 
 def test_make_algebra_validates_tables():

@@ -175,6 +175,12 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["con", str(bad)]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["con", str(latin1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(latin1) in err
 
 
 def test_sweep_collapse_on_directory(files, capsys, tmp_path):

@@ -355,21 +355,23 @@ def test_con_lattice_memory_is_bounded(by_name):
 
 
 def test_validating_dstar_on_a_large_product_goes_a_block_at_a_time(z3):
-    # D* on Z3^6, three classes of 243 elements: each check holds at most
-    # _STACK_ENTRIES entries at a time, where the whole |P|^2 passes
-    # peaked at 9.2 MiB
+    # D* on Z3^6, three classes of 243 elements, and the identity: each
+    # check holds at most _STACK_ENTRIES entries at a time, where the whole
+    # |P|^2 passes peaked at 9.2 MiB on D*, and the identity's least-member
+    # prefixes for a position after the last took 4.35 MiB
     prod = direct_product((z3,) * 6)
-    labels = _least_member_labels(prod, [np.arange(3)[None]] * 6, principal_ultrafilter(6, 2))[0]
-    alg = _fresh(prod)
+    dstar = _least_member_labels(prod, [np.arange(3)[None]] * 6, principal_ultrafilter(6, 2))[0]
     Congruence(_fresh(z3), [0, 1, 2])  # warm up numpy before tracing
-    tracemalloc.start()
-    try:
-        dstar = Congruence(alg, labels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dstar.num_classes == 3 and dstar.class_id in alg._congruences
-    assert peak < 2 * 2**20
+    for labels, classes in ((dstar, 3), (np.arange(prod.size, dtype=np.int64), prod.size)):
+        alg = _fresh(prod)
+        tracemalloc.start()
+        try:
+            con = Congruence(alg, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert con.num_classes == classes and con.class_id in alg._congruences
+        assert peak < 2 * 2**20
 
 
 def test_con_as_algebra_shapes(c3, s2):
