@@ -100,35 +100,42 @@ def _check_ints(values, bound, describe) -> None:
             raise ValidationError(describe(idx, value))
 
 
+def _checked_array(values, bound, what, describe, copy=False) -> np.ndarray:
+    """The flat integer ndarray values as int64 (copied if copy is set),
+    after checking that every entry lies in 0..bound-1; the first that
+    does not raises ValidationError(describe(index, value))."""
+    if values.dtype.kind not in "iu":
+        raise ValidationError(f"{what} has dtype {values.dtype}; entries must be integers")
+    if values.ndim != 1:
+        raise ValidationError(f"{what} has shape {values.shape}; it must be flat")
+    arr = np.array(values, dtype=np.int64) if copy else np.asarray(values, dtype=np.int64)
+    # viewed as uint64, a negative entry (or a uint64 one of 2**63 or more,
+    # which the cast wraps) is at least 2**63: one max bounds both ends
+    unsigned = arr.view(np.uint64)
+    if len(arr) and unsigned.max() >= bound:
+        idx = int(np.argmax(unsigned >= bound))
+        raise ValidationError(describe(idx, values[idx].item()))
+    return arr
+
+
 def _checked_table(sym, table, size, arity, copy=True) -> np.ndarray:
     """A private read-only int64 copy of one operation table, after checking
-    its length, its entry type and that every entry lies in the carrier.
+    its entry type, that every entry lies in the carrier and its length.
     With copy=False an int64 array is kept as it is, made read-only."""
-    if isinstance(table, np.ndarray):
-        if table.dtype.kind not in "iu":
-            raise ValidationError(f"table for {sym!r} has dtype {table.dtype}; entries must be integers")
-        if table.ndim != 1:
-            raise ValidationError(f"table for {sym!r} has shape {table.shape}; tables are flat")
-    elif not isinstance(table, (list, tuple)):
-        table = tuple(table)
-    want = size**arity
-    if len(table) != want:
-        raise ValidationError(f"table for {sym!r} has {len(table)} entries, expected {size}**{arity} = {want}")
 
     def outside(idx, value):
         return f"table entry {sym!r}[{idx}] = {value!r} is outside the carrier 0..{size - 1}"
 
     if isinstance(table, np.ndarray):
-        arr = np.array(table, dtype=np.int64) if copy else np.asarray(table, dtype=np.int64)
-        # viewed as uint64, a negative entry (or a uint64 one of 2**63 or more,
-        # which the cast wraps) is at least 2**63: one max bounds both ends
-        unsigned = arr.view(np.uint64)
-        if unsigned.max() >= size:
-            idx = int(np.argmax(unsigned >= size))
-            raise ValidationError(outside(idx, table[idx].item()))
+        arr = _checked_array(table, size, f"table for {sym!r}", outside, copy)
     else:
+        if not isinstance(table, (list, tuple)):
+            table = tuple(table)
         _check_ints(table, size, outside)
         arr = np.array(table, dtype=np.int64)
+    want = size**arity
+    if len(arr) != want:
+        raise ValidationError(f"table for {sym!r} has {len(arr)} entries, expected {size}**{arity} = {want}")
     arr.setflags(write=False)
     return arr
 
@@ -240,19 +247,22 @@ def make_algebra(signature, size, tables, name: str = "") -> Algebra:
 
 
 class ElemMap:
-    """A total map between two carriers, stored as its image tuple."""
+    """A total map between two carriers, stored as its image tuple (given
+    as ints or as a flat integer numpy array)."""
 
     __slots__ = ("source_size", "target_size", "image")
 
     def __init__(self, source_size: int, target_size: int, image):
-        image = tuple(image)
+        def outside(x, y):
+            return f"image[{x}] = {y!r} is outside the target carrier 0..{target_size - 1}"
+
+        if isinstance(image, np.ndarray):
+            image = tuple(_checked_array(image, target_size, "image", outside).tolist())
+        else:
+            image = tuple(image)
+            _check_ints(image, target_size, outside)
         if len(image) != source_size:
             raise ValidationError(f"image has {len(image)} entries, expected {source_size}")
-        _check_ints(
-            image,
-            target_size,
-            lambda x, y: f"image[{x}] = {y!r} is outside the target carrier 0..{target_size - 1}",
-        )
         self.source_size = source_size
         self.target_size = target_size
         self.image = image
@@ -321,14 +331,15 @@ def _radix_sums(parts) -> np.ndarray:
 
     parts[i] is an (R, n_i) or (1, n_i) int64 array over factor i's
     carrier, and x is mixed radix over the n_i, coordinate 0 most
-    significant.  Folded over the factors left to right as in
-    _product_tables: element x * n + c has coordinates x and c, so one
-    broadcast pass per factor builds the (R, prod n_i) result, with no
-    decode of the elements.
+    significant.  Folded over the factors from the last to the first as in
+    _product_tables: with m the size of the later factors' product, element
+    c * m + y has coordinates c and y, so one broadcast pass per factor,
+    its innermost axis the m sums built so far, gives the (R, prod n_i)
+    result with no decode of the elements.
     """
     acc = np.zeros((1, 1), dtype=np.int64)
-    for part in parts:
-        acc = acc[:, :, None] + part[:, None, :]
+    for part in reversed(parts):
+        acc = part[:, :, None] + acc[:, None, :]
         acc = acc.reshape(acc.shape[0], acc.shape[1] * acc.shape[2])
     return acc
 
@@ -391,19 +402,19 @@ def _product_tables(symbols, sizes, tables):
 
     tables[i] maps each symbol to its table on factor i, of sizes[i]
     elements.  Each table is a mixed-radix recurrence folded over the
-    factors left to right: with m the size of the product so far and n the
-    next factor's size, element x * n + c has coordinates x and c, so the
-    table at (x1 * n + c1, ..., xk * n + ck) is acc[x] * n + local[c], one
-    broadcast pass per factor and no gather index (arity 0 included).  acc
-    is scaled in place, so a pass holds only the old and the new table.
+    factors from the last to the first: with m the size of the product of
+    the later factors and n the next factor's size, element c * m + y has
+    coordinates c and y, so the table at (c1 * m + y1, ..., ck * m + yk)
+    is local[c] * m + acc[y].  That is one broadcast pass per factor whose
+    innermost axis is the m-entry rows of acc, with no gather index (arity
+    0 included); a pass holds only the old and the new table.
     """
     out = {}
     for sym, arity in symbols:
         acc = np.zeros(1, dtype=np.int64)
         m = 1
-        for n, local in zip(sizes, tables):
-            acc *= n
-            acc = (acc.reshape((m, 1) * arity) + local[sym].reshape((1, n) * arity)).reshape((m * n,) * arity)
+        for n, local in zip(reversed(sizes), reversed(tables)):
+            acc = (local[sym].reshape((n, 1) * arity) * m + acc.reshape((1, m) * arity)).reshape((n * m,) * arity)
             m *= n
         out[sym] = acc.ravel()
     return out
@@ -425,9 +436,15 @@ def _take_each_axis(table, size, indices):
     table is the flat table of a k-ary operation on a carrier of the given
     size, and indices holds one index array per argument.  One take per
     axis gathers along that axis, so no array of index tuples is built.
+    When indices[0] is at least as long as the side, the later axes go
+    first: the intermediate of size * (later entries) is then no larger
+    than the result, and the last take copies whole rows of it.
     """
     picked = table.reshape((size,) * len(indices))
-    for axis, index in enumerate(indices):
+    axes = list(enumerate(indices))
+    if indices and len(indices[0]) >= size:
+        axes.reverse()
+    for axis, index in axes:
         picked = picked.take(index, axis=axis)
     return picked.ravel()
 
@@ -461,7 +478,7 @@ class QuotientAlgebra(Algebra):
         super().__init__(parent.signature, len(reps), tables, name=name)
         self.parent = parent
         self.congruence = congruence
-        self.projection = ElemMap(parent.size, len(reps), proj.tolist())
+        self.projection = ElemMap(parent.size, len(reps), proj)
         self.projection_array = proj
         self.class_reps = tuple(reps.tolist())
 

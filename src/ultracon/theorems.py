@@ -211,7 +211,7 @@ def coordinatewise_quotient_map(family: CongruenceFamily, ultra: UltrafilterD) -
     # the element of the quotients' product with coordinates proj_i(x_i)
     index = _radix_sums([q.projection_array[None, :] * stride
                          for q, stride in zip(quots, quot_ultra.product.strides)])[0]
-    return ElemMap(prod.size, quot_ultra.size, quot_ultra.projection_array[index].tolist())
+    return ElemMap(prod.size, quot_ultra.size, quot_ultra.projection_array[index])
 
 
 def natural_embedding(algebra: Algebra, ultra: UltrafilterD) -> ElemMap:

@@ -1,10 +1,14 @@
-"""Property tests: product tables and the homomorphism test against per-tuple oracles."""
+"""Property tests: product tables, their kernels and the homomorphism test against per-tuple oracles."""
 
+from itertools import product as iter_product
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ultracon import ElemMap, con_lattice_bruteforce, congruence, direct_product, is_homomorphism, quotient
+from ultracon.algebra import _radix_sums, _take_each_axis
 
 from oracles import naive_is_homomorphism, naive_product_table
 from test_congruence_properties import PROPERTY, algebras
@@ -23,6 +27,35 @@ def products(draw):
 def test_product_tables_match_the_per_tuple_oracle(prod):
     for sym in prod.signature.names:
         assert list(prod.table(sym)) == naive_product_table(prod, sym), sym
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 3), st.data())
+def test_radix_sums_match_a_sum_over_decoded_coordinates(sizes, rows, data):
+    # each part has one row, shared by every result row, or one per row
+    parts = []
+    for n in sizes:
+        values = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        height = data.draw(st.sampled_from([1, rows]))
+        parts.append(data.draw(st.lists(values, min_size=height, max_size=height)))
+    sums = _radix_sums([np.array(part, dtype=np.int64) for part in parts])
+    expected = [[sum(part[r % len(part)][c] for part, c in zip(parts, coords))
+                 for coords in iter_product(*map(range, sizes))]
+                for r in range(max(map(len, parts)))]
+    assert sums.tolist() == expected
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.integers(1, 5), st.data())
+def test_take_each_axis_matches_the_per_tuple_gather(arity, side, data):
+    # a first index shorter than the side is taken first, one at least as
+    # long is taken last
+    table = data.draw(st.lists(st.integers(0, 99), min_size=side**arity, max_size=side**arity))
+    element = st.integers(0, side - 1)
+    indices = [data.draw(st.lists(element, max_size=2 * side + 1 if axis == 0 else 6)) for axis in range(arity)]
+    picked = _take_each_axis(np.array(table, dtype=np.int64), side, [np.array(i, dtype=np.int64) for i in indices])
+    expected = [table[sum(a * side**(arity - 1 - j) for j, a in enumerate(args))] for args in iter_product(*indices)]
+    assert picked.tolist() == expected
 
 
 @PROPERTY
