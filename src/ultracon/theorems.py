@@ -722,6 +722,10 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
         }
     checks.append(Check("pullback-along-embedding-equals-restriction", pull_witness is None, pull_witness))
 
+    try:
+        restriction = format_partition(Partition.from_matrix(restr_matrix))
+    except ValidationError as exc:
+        restriction = {"reason": str(exc)}
     instance = {
         "algebra": {"name": algebra.name, "size": algebra.size},
         "sigma": [format_partition(s) for s in sigmas],
@@ -729,7 +733,7 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
     }
     info = {
         "ultrapower_size": power.size,
-        "restriction": format_partition(Partition.from_matrix(restr_matrix)),
+        "restriction": restriction,
         "members_used": len(ultra.members),
     }
     return VerificationReport("thm3", instance, tuple(checks), info)

@@ -11,6 +11,8 @@ from ultracon import (
     ValidationError,
     con_lattice,
     con_lattice_bruteforce,
+    corpus_by_name,
+    direct_product,
     make_algebra,
     principal_congruence,
 )
@@ -19,6 +21,7 @@ from ultracon.congruence import _congruence_violation, _congruence_violations
 
 from oracles import (
     matrix_to_blocks,
+    naive_cover_pairs,
     naive_first_violation,
     naive_is_congruence,
     naive_join_matrix,
@@ -99,6 +102,50 @@ def test_stacked_principal_closure_is_meet_of_congruences_relating_each_pair(alg
             closed = np.concatenate(list(congruence._principal_stacks(rows, pairs)))
         assert len(pairs) == (1 if cap > 1 else len(expected))
         assert [relation_matrix(Partition(row)) for row in closed] == expected
+
+
+def _generators(algebra):
+    """The generator stage alone: each distinct principal congruence but the
+    identity as a Partition, its generating pair, and whether it is kept."""
+    seen = set(congruence._row_keys(np.arange(algebra.size, dtype=np.int64)[None]))
+    gens, a, b, irreducible = congruence._generators(algebra, seen)
+    return [(Partition(row), int(x), int(y), bool(keep)) for row, x, y, keep in zip(gens, a, b, irreducible)]
+
+
+@PROPERTY
+@given(algebras(max_size=5))
+def test_kept_generators_are_the_congruences_with_one_lower_cover(algebra):
+    brute = list(con_lattice_bruteforce(algebra))
+    lower = [sum(1 for _, upper in naive_cover_pairs(brute) if upper == i) for i in range(len(brute))]
+    kept = {p for p, _, _, keep in _generators(algebra) if keep}
+    assert kept == {p for p, count in zip(brute, lower) if count == 1}
+
+
+@PROPERTY
+@given(algebras(max_size=5))
+def test_each_generator_is_the_meet_of_the_congruences_relating_its_pair(algebra):
+    n = algebra.size
+    brute = list(con_lattice_bruteforce(algebra))
+    gens = _generators(algebra)
+    assert len({p for p, _, _, _ in gens}) == len(gens)
+    for p, a, b, _ in gens:
+        thetas = [t for t in brute if t.relates(a, b)]
+        assert relation_matrix(p) == [[all(t.relates(x, y) for t in thetas) for y in range(n)] for x in range(n)]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(algebras(max_size=8))
+@example(direct_product([corpus_by_name()["C3"]] * 2))
+@example(direct_product([corpus_by_name()["U3"]] * 2))
+@example(direct_product([corpus_by_name()[name] for name in ("C4", "S2")]))
+def test_con_lattice_is_the_same_at_every_cap(algebra):
+    # at 2**6 and 2**10 entries the irreducibility joins of the examples go
+    # through in chunks of one row and of several rows
+    lattice = list(con_lattice(algebra))
+    for cap in (1 << 6, 1 << 10, 1 << 15):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(congruence, "_STACK_ENTRIES", cap)
+            assert list(con_lattice(algebra)) == lattice, cap
 
 
 @st.composite
@@ -222,3 +269,15 @@ def test_validation_agrees_with_the_oracle_on_first_and_repeated_calls(case):
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-3, n + 2), min_size=n, max_size=n)))
 def test_array_labels_give_the_tuple_partition(labels):
     assert Partition(np.array(labels, dtype=np.int64)).class_id == Partition(labels).class_id
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(st.integers(-3, n + 2), min_size=n, max_size=n),
+                                                    min_size=1, max_size=6)))
+@example([[0, 0, 3, 2], [0, 1, 2, 3], [-1, -1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]])
+def test_stacked_least_member_check_agrees_with_each_row(rows):
+    # rows with a label above its index, a negative label and a label that
+    # is not a fixed point, beside canonical ones
+    stack = np.array(rows, dtype=np.int64)
+    assert congruence._is_canonical(stack).tolist() == [congruence._is_canonical(row) for row in stack]
+    assert [congruence._is_canonical(row) for row in stack] == [Partition(row).class_id == tuple(row) for row in rows]

@@ -298,6 +298,32 @@ def test_verify_thm1_fails_on_a_corrupted_family_row(c3, monkeypatch):
         assert check.witness["family_a"] != check.witness["family_b"]
 
 
+def test_two_classes_that_share_an_image_fail_injectivity_alone(c3, monkeypatch):
+    # under the principal ultrafilter at 0 a family's class is fixed by its
+    # first congruence; every family whose first congruence is lattice[1]
+    # gets the real row of the family with lattice[2] there instead, so
+    # each class still has one image, but those two classes share it
+    lattice = con_lattice_of(c3)
+    ultra = principal_ultrafilter(2, 0)
+    moved, kept = (np.array(lattice[k].class_id, dtype=np.int64) for k in (1, 2))
+    shared = congruence_on_ultraproduct(CongruenceFamily((c3, c3), (lattice[2], lattice[0])), ultra)
+    real = theorems._least_member_labels
+
+    def relabelled(product, class_ids, ultra):
+        first = class_ids[0].copy()
+        first[(first == moved).all(axis=1)] = kept
+        return real(product, [first, *class_ids[1:]], ultra)
+
+    monkeypatch.setattr(theorems, "_least_member_labels", relabelled)
+    report = verify_thm1([c3, c3], ultra)
+    checks = {c.name: c for c in report.checks}
+    assert checks["well-defined-on-classes"].passed
+    assert not checks["injective-on-classes"].passed and not report.passed
+    witness = checks["injective-on-classes"].witness
+    assert [witness["family_a"][0], witness["family_b"][0]] == [format_partition(lattice[k]) for k in (1, 2)]
+    assert witness["shared_image"] == format_partition(shared)
+
+
 def test_a_non_congruence_row_is_reported_for_the_first_family_that_has_it(c3, monkeypatch):
     # two families of [C3, C3] get rows that are not congruences of the
     # product; the later family's row sorts first, but the error must name
@@ -702,6 +728,26 @@ def test_a_union_of_meets_that_is_not_transitive_fails_its_check(c3, monkeypatch
     assert not checks["union-of-meets-is-equivalence"].passed and not report.passed
     assert checks["union-of-meets-is-equivalence"].witness == {"reason": str(raised.value)}
     assert checks["union-of-meets-is-congruence"].witness == {"reason": "union is not even an equivalence"}
+
+
+def test_a_restriction_that_is_not_transitive_is_reported_not_raised(c3, monkeypatch):
+    # the restriction relates 0~1 and 1~2 but not 0~2: no equivalence, so
+    # the report fails on the first pair where it differs from the union,
+    # and its info gives the reason where the partition would be
+    chain = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+    with pytest.raises(ValidationError, match="not transitive") as raised:
+        Partition.from_matrix(chain)
+    sigmas, ultra = [sigma_a(), sigma_b()], principal_ultrafilter(2, 0)
+    union = union_of_meets(c3, sigmas, ultra).to_matrix()
+    a, b = map(int, np.argwhere(chain != union)[0])
+    monkeypatch.setattr(theorems, "_diagonal_restriction_matrix", lambda algebra, sigmas, ultra: chain)
+    report = verify_thm3(c3, sigmas, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["union-of-meets-equals-restriction"].passed and not report.passed
+    assert checks["union-of-meets-equals-restriction"].witness == {
+        "pair": [a, b], "in_restriction": True, "in_union_of_meets": False}
+    assert report.info["restriction"] == {"reason": str(raised.value)}
+    assert json.loads(report.to_json())["info"]["restriction"] == {"reason": str(raised.value)}
 
 
 def test_a_pullback_that_differs_from_the_restriction_fails_its_check(c3, monkeypatch):
