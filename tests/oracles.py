@@ -9,6 +9,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from ultracon import make_algebra
+
 
 class UpSet:
     """Test-only stand-in for the filter of index sets containing `core`
@@ -189,3 +191,25 @@ def naive_cover_pairs(partitions):
     below = [[i != j and contained(rels[i], rels[j]) for j in range(k)] for i in range(k)]
     return [(i, j) for i in range(k) for j in range(k)
             if below[i][j] and not any(below[i][m] and below[m][j] for m in range(k))]
+
+
+def relabel(algebra, perm):
+    """Copy of the algebra with element e renamed to perm[e]."""
+    inv = [0] * algebra.size
+    for e, p in enumerate(perm):
+        inv[p] = e
+    tables = {}
+    for sym, arity in algebra.signature.symbols:
+        size = algebra.size
+        table = [0] * (size**arity)
+        for flat in range(size**arity):
+            args = []
+            rem = flat
+            for _ in range(arity):
+                args.append(rem % size)
+                rem //= size
+            args.reverse()
+            val = algebra.apply(sym, [inv[a] for a in args])
+            table[flat] = perm[val]
+        tables[sym] = table
+    return make_algebra(algebra.signature, algebra.size, tables, algebra.name + "'")

@@ -241,6 +241,30 @@ def test_generator_stage_keeps_the_join_irreducible_principal_congruences(by_nam
     assert time.process_time() - start < 2
 
 
+def test_generator_stage_closes_one_pair_per_orbit_of_the_permutations(by_name, monkeypatch):
+    # pairs a < b handed to the principal closure; the groups' pairs fall
+    # into one orbit per difference up to sign, and neither the semilattice
+    # S2^3 nor the lattice C3^3 has a translation that permutes but the identity
+    expected = {("Z2",) * 3: 7, ("Z2", "Z2", "Z3", "Z3"): 19, ("S3", "Z3"): 5,
+                ("S2",) * 3: 28, ("C3",) * 3: 351}
+    principal_stacks = congruence._principal_stacks
+    closed = []
+
+    def counting(rows, pairs):
+        closed.extend(len(a) for a, _ in pairs)
+        yield from principal_stacks(rows, pairs)
+
+    monkeypatch.setattr(congruence, "_principal_stacks", counting)
+    for names, count in expected.items():
+        alg = direct_product([by_name[name] for name in names])
+        closed.clear()
+        congruence._generators(alg, set(congruence._row_keys(np.arange(alg.size, dtype=np.int64)[None])))
+        assert sum(closed) == count, names
+    # a carrier of one element has no pair a < b: its lattice is the identity alone
+    single = make_algebra([("f", 2), ("g", 1)], 1, {"f": [0], "g": [0]})
+    assert list(con_lattice(single)) == [Partition.identity(1)]
+
+
 def test_a_closure_row_out_of_least_member_form_is_rejected(c3, monkeypatch):
     # each full relation the joins find is labelled by its greatest member:
     # the same partition, but a class_id that equal partitions do not share
@@ -373,17 +397,21 @@ def test_constants_and_unary_signatures(signature, tables, monkeypatch):
 
 def test_con_lattice_memory_is_bounded(by_name):
     # every stacked pass is capped at congruence._STACK_ENTRIES entries;
-    # validating the whole stack at once peaked at 10 MiB here
-    alg = _fresh(direct_product([by_name["Z2"]] * 5))
+    # validating the whole stack at once peaked at 10 MiB on Z2^5.  Z2^6
+    # has 127 008 orbit edges (63 permutation translations besides the
+    # identity, 2 016 pairs a < b): closing every pair it peaked at
+    # 4.95 MiB, and at 12.0 MiB with the edges in one piece
     con_lattice(by_name["C3"])  # warm up numpy before tracing
-    tracemalloc.start()
-    try:
-        lattice = con_lattice(alg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(lattice) == 374
-    assert peak <= 4 * 2**20
+    for power, count, mib in ((5, 374, 4), (6, 2825, 6)):
+        alg = _fresh(direct_product([by_name["Z2"]] * power))
+        tracemalloc.start()
+        try:
+            lattice = con_lattice(alg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lattice) == count
+        assert peak <= mib * 2**20, power
 
 
 def test_validating_dstar_on_a_large_product_goes_a_block_at_a_time(z3):

@@ -26,6 +26,7 @@ from oracles import (
     naive_is_congruence,
     naive_join_matrix,
     naive_meet_matrix,
+    relabel,
     relation_matrix,
 )
 
@@ -68,6 +69,44 @@ def test_con_lattice_equals_bruteforce(algebra):
     brute = list(con_lattice_bruteforce(algebra))
     assert list(con_lattice(algebra)) == brute
     # again with every stacked pass one row (or pair) at a time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruence, "_STACK_ENTRIES", 1)
+        assert list(con_lattice(algebra)) == brute
+
+
+@st.composite
+def permuting_algebras(draw):
+    """Algebras with translations that permute the carrier: a Latin square
+    on 1-7 elements, a binary operation with some permutation rows, a
+    permutation beside a random unary operation, or a relabelled product."""
+    kind = draw(st.sampled_from(["latin", "rows", "unary", "product"]))
+    if kind == "product":
+        by_name = corpus_by_name()
+        names = draw(st.sampled_from([("Z2", "Z4"), ("Z2", "S2", "Z2"), ("S2", "Z3")]))
+        product = direct_product([by_name[name] for name in names])
+        return relabel(product, draw(st.permutations(range(product.size))))
+    n = draw(st.integers(1, 7))
+    cells = st.integers(0, n - 1)
+    if kind == "latin":
+        # an isotope of the cyclic group: every row and column a permutation
+        rows, cols, syms = (draw(st.permutations(range(n))) for _ in range(3))
+        table = [syms[(rows[x] + cols[y]) % n] for x in range(n) for y in range(n)]
+        return make_algebra([("f", 2)], n, {"f": table})
+    if kind == "rows":
+        table = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+        for x in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            table[x * n:(x + 1) * n] = draw(st.permutations(range(n)))
+        return make_algebra([("f", 2)], n, {"f": table})
+    tables = {"p": draw(st.permutations(range(n))), "u": draw(st.lists(cells, min_size=n, max_size=n))}
+    return make_algebra([("p", 1), ("u", 1)], n, tables)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(permuting_algebras())
+def test_con_lattice_equals_bruteforce_with_permutation_translations(algebra):
+    # one principal congruence is closed per orbit of the permutations
+    brute = list(con_lattice_bruteforce(algebra))
+    assert list(con_lattice(algebra)) == brute
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(congruence, "_STACK_ENTRIES", 1)
         assert list(con_lattice(algebra)) == brute

@@ -14,29 +14,8 @@ from ultracon import (
 )
 from ultracon.corpus import left_zero
 
+from oracles import relabel
 from test_congruence_properties import PROPERTY, algebras
-
-
-def relabel(algebra, perm):
-    """Copy of the algebra with element e renamed to perm[e]."""
-    inv = [0] * algebra.size
-    for e, p in enumerate(perm):
-        inv[p] = e
-    tables = {}
-    for sym, arity in algebra.signature.symbols:
-        size = algebra.size
-        table = [0] * (size**arity)
-        for flat in range(size**arity):
-            args = []
-            rem = flat
-            for _ in range(arity):
-                args.append(rem % size)
-                rem //= size
-            args.reverse()
-            val = algebra.apply(sym, [inv[a] for a in args])
-            table[flat] = perm[val]
-        tables[sym] = table
-    return make_algebra(algebra.signature, algebra.size, tables, algebra.name + "'")
 
 
 def test_every_algebra_is_isomorphic_to_itself(corpus):
