@@ -179,7 +179,9 @@ class Algebra:
         self._tuples = {}
         # Results that depend only on these immutable tables, kept with them:
         self._isos = {}  # find_isomorphism results from this algebra, by (target, guard)
-        self._congruences = set()  # class_id tuples validated as congruences (only passes)
+        # class_id tuples known to be congruences: validation passes and
+        # kernels of maps that is_homomorphism accepted (Congruence._trusted)
+        self._congruences = set()
         self._iso_maps = {}  # is the map with this image an isomorphism, by (target, image)
 
     @property
@@ -248,24 +250,29 @@ def make_algebra(signature, size, tables, name: str = "") -> Algebra:
 
 class ElemMap:
     """A total map between two carriers, stored as its image tuple (given
-    as ints or as a flat integer numpy array)."""
+    as ints or as a flat integer numpy array).  ``array`` holds the same
+    image as a private read-only int64 array."""
 
-    __slots__ = ("source_size", "target_size", "image")
+    __slots__ = ("source_size", "target_size", "image", "array")
 
     def __init__(self, source_size: int, target_size: int, image):
         def outside(x, y):
             return f"image[{x}] = {y!r} is outside the target carrier 0..{target_size - 1}"
 
         if isinstance(image, np.ndarray):
-            image = tuple(_checked_array(image, target_size, "image", outside).tolist())
+            array = _checked_array(image, target_size, "image", outside, copy=True)
+            image = tuple(array.tolist())
         else:
             image = tuple(image)
             _check_ints(image, target_size, outside)
+            array = np.array(image, dtype=np.int64)
         if len(image) != source_size:
             raise ValidationError(f"image has {len(image)} entries, expected {source_size}")
+        array.setflags(write=False)
         self.source_size = source_size
         self.target_size = target_size
         self.image = image
+        self.array = array
 
     @classmethod
     def identity(cls, size: int) -> "ElemMap":
@@ -454,7 +461,7 @@ class QuotientAlgebra(Algebra):
 
     Classes are numbered by ascending least member; class_reps[c] is that
     least member and projection maps each parent element to its class
-    (projection_array holds the same image as a read-only int64 array).
+    (projection_array is its read-only int64 array).
     """
 
     __slots__ = ("parent", "congruence", "projection", "projection_array", "class_reps")
@@ -469,7 +476,6 @@ class QuotientAlgebra(Algebra):
             raise SizeGuardError(f"quotient carrier would have {len(reps)} elements, guard is {max_size}")
         # a class's number is the count of least members below its own
         proj = (np.cumsum(is_rep) - 1)[cid]
-        proj.setflags(write=False)
         tables = {}
         for sym, arity in parent.signature.symbols:
             picked = _take_each_axis(parent.table_array(sym), parent.size, [reps] * arity)
@@ -479,7 +485,7 @@ class QuotientAlgebra(Algebra):
         self.parent = parent
         self.congruence = congruence
         self.projection = ElemMap(parent.size, len(reps), proj)
-        self.projection_array = proj
+        self.projection_array = self.projection.array
         self.class_reps = tuple(reps.tolist())
 
 
@@ -494,8 +500,13 @@ def quotient(algebra: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD) -
 
 
 def kernel(h: ElemMap):
-    """Partition of the source identifying elements with equal image."""
-    return _congruence.Partition(h.image)
+    """Partition of the source identifying elements with equal image.
+
+    One scatter-min over the image gives each element the least element
+    with its image, which is least-member form already.
+    """
+    labels = _congruence._least_members(h.array, h.target_size)
+    return _congruence.Partition._canonical(tuple(labels.tolist()))
 
 
 def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
@@ -513,7 +524,7 @@ def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:
         raise ValidationError(
             f"map is {h.source_size}->{h.target_size}, algebras are {source.size}->{target.size}"
         )
-    img = np.asarray(h.image, dtype=np.int64)
+    img = h.array
     for sym, arity in source.signature.symbols:
         src_table = source.table_array(sym)
         tgt_table = target.table_array(sym)

@@ -55,6 +55,13 @@ class Partition:
         self.size, self.class_id, self._hash, self._text = len(cid), cid, None, None
 
     @classmethod
+    def _canonical(cls, class_id: tuple) -> "Partition":
+        """A partition of class_id, which is in least-member form already (not checked)."""
+        p = cls.__new__(cls)
+        p.size, p.class_id, p._hash, p._text = len(class_id), class_id, None, None
+        return p
+
+    @classmethod
     def identity(cls, size: int) -> "Partition":
         """Every element alone: the diagonal relation."""
         return cls(range(size))
@@ -191,6 +198,16 @@ def _is_canonical(labels: np.ndarray):
         return bool(inside.all() and (labels[labels] == labels).all())
     offset = np.arange(len(labels), dtype=np.int64)[:, None] * labels.shape[1]
     return (inside & (labels.take(labels + offset, mode="clip") == labels)).all(axis=1)
+
+
+def _least_members(labels: np.ndarray, bound: int) -> np.ndarray:
+    """Least-member class ids of an int64 labelling whose labels lie in
+    0..bound-1: each element gets the least element with its label, found
+    by one scatter-min over the labels."""
+    least = np.empty(bound, dtype=np.int64)
+    least.fill(len(labels))  # np.full takes twice as long on small carriers
+    np.minimum.at(least, labels, np.arange(len(labels), dtype=np.int64))
+    return least[labels]
 
 
 def format_partition(p: Partition) -> str:
@@ -377,7 +394,11 @@ class Congruence(Partition):
     Each algebra records the class_id of every partition that passed this
     check on it, and a recorded one is not checked again: the outcome is
     fixed by the algebra's immutable tables and the full class_id.  Only
-    passes are recorded, so a non-congruence fails every time.
+    congruences are recorded, so a non-congruence fails every time.  The
+    other records come through _trusted from results that are congruences
+    by construction: con_lattice's rows, after its own stacked check, and
+    the kernel of a map that is_homomorphism accepted (verify_thm2), since
+    the kernel of a homomorphism is a congruence of its source.
     """
 
     __slots__ = ("algebra",)
@@ -396,8 +417,8 @@ class Congruence(Partition):
     @classmethod
     def _trusted(cls, algebra: Algebra, class_id: tuple) -> "Congruence":
         """A Congruence of class_id, already checked on algebra; recorded there."""
-        c = cls.__new__(cls)
-        c.size, c.class_id, c._hash, c._text, c.algebra = len(class_id), class_id, None, None, algebra
+        c = cls._canonical(class_id)
+        c.algebra = algebra
         algebra._congruences.add(class_id)
         return c
 

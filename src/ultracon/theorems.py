@@ -47,6 +47,7 @@ from .congruence import (
     _as_congruence,
     _congruence_violations,
     _join_stack,
+    _least_members,
     _not_a_congruence,
     _row_keys,
     _union_stack,
@@ -75,6 +76,10 @@ SAMPLE_SIZE = 500
 # Largest temporary, in int64 entries, that theorem 1's batched passes
 # over families build; a single family always goes through whole.
 _BATCH_ENTRIES = 1 << 20
+
+# verify_thm2's checks that need the product congruence theta
+_THETA_CHECKS = ("kernel-is-product-congruence", "map-factors-through-transferred-congruence",
+                 "induced-map-is-isomorphism", "independent-isomorphism-search")
 
 
 @dataclass(frozen=True)
@@ -570,22 +575,53 @@ def _is_isomorphism(source: Algebra, target: Algebra, image: tuple) -> bool:
 
 
 def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationReport:
-    """Check the quotient-transfer theorem on one family."""
+    """Check the quotient-transfer theorem on one family.
+
+    When the coordinatewise map passes its homomorphism check, its kernel
+    is a congruence of the product by construction, so its class ids, found
+    from the map's own image, are recorded there (Congruence._trusted).
+    The product congruence theta equals that kernel on every passing
+    family and is then not validated again; a theta that differs from it
+    is validated in full.  A theta that is no congruence fails
+    kernel-is-product-congruence and every check that needs theta, each
+    with the reason as its witness.
+    """
     factors = family.factors
     prod = direct_product(factors)
     ultra_alg = ultraproduct(factors, ultra)
     quot_ultra = ultraproduct([quotient(f, c) for f, c in zip(factors, family.choice)], ultra)
     cmap = coordinatewise_quotient_map(family, ultra)
+    instance = {
+        "factors": [{"name": f.name, "size": f.size} for f in factors],
+        "sigma": _family_text(family),
+        "ultrafilter": _ultra_text(ultra),
+    }
+    info = {
+        "product_size": prod.size,
+        "ultraproduct_size": ultra_alg.size,
+        "quotient_ultraproduct_size": quot_ultra.size,
+    }
 
     checks = []
 
     hom_ok = is_homomorphism(cmap, prod, quot_ultra)
     checks.append(Check("coordinatewise-map-is-homomorphism", hom_ok))
+    if hom_ok:
+        # a homomorphism's kernel is a congruence of its source; its class
+        # ids come from the image that was checked, not through kernel()
+        Congruence._trusted(prod, tuple(_least_members(cmap.array, cmap.target_size).tolist()))
     surj_ok = cmap.is_surjective()
     checks.append(Check("coordinatewise-map-is-surjective", surj_ok))
 
     ker = kernel(cmap)
-    theta = product_congruence(family, ultra)
+    try:
+        theta = product_congruence(family, ultra)
+    except ValidationError as exc:
+        # theta is neither the kernel recorded above nor a congruence
+        reason = {"reason": str(exc)}
+        checks += [Check(name, False, reason) for name in _THETA_CHECKS]
+        info["transferred_congruence"] = reason
+        return VerificationReport("thm2", instance, tuple(checks), info)
     ker_witness = None
     if ker.class_id != theta.class_id:
         # row a holds a mismatch iff a's kernel class, theta class and their meet differ in size
@@ -615,7 +651,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     # factor the map through ultraproduct / transferred congruence
     transferred = induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
     inner = quotient(ultra_alg, transferred)
-    image = np.asarray(cmap.image, dtype=np.int64)
+    image = cmap.array
     over = inner.projection_array[ultra_alg.projection_array]  # inner element below each p
     # induced sends t to the image of the least p over t, the least member
     # of the least member of t's class (quotients number classes by their
@@ -639,17 +675,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
         found, search_witness = False, {"reason": str(exc)}
     checks.append(Check("independent-isomorphism-search", found, search_witness))
 
-    instance = {
-        "factors": [{"name": f.name, "size": f.size} for f in factors],
-        "sigma": _family_text(family),
-        "ultrafilter": _ultra_text(ultra),
-    }
-    info = {
-        "product_size": prod.size,
-        "ultraproduct_size": ultra_alg.size,
-        "quotient_ultraproduct_size": quot_ultra.size,
-        "transferred_congruence": format_partition(transferred),
-    }
+    info["transferred_congruence"] = format_partition(transferred)
     return VerificationReport("thm2", instance, tuple(checks), info)
 
 

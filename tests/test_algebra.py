@@ -109,6 +109,16 @@ def test_kernel_groups_by_image():
     assert kernel(ElemMap(3, 1, [0, 0, 0])).num_classes == 1
 
 
+def test_elem_map_keeps_a_read_only_copy_of_its_image_array():
+    given = np.array([0, 2, 1], dtype=np.int32)
+    h = ElemMap(3, 3, given)
+    given[0] = 2  # the caller's array is not the map's
+    for array in (h.array, ElemMap(3, 3, [0, 2, 1]).array):
+        assert array.dtype == np.int64 and array.tolist() == [0, 2, 1]
+        assert not array.flags.writeable
+    assert h.image == (0, 2, 1)
+
+
 def test_direct_product_mixed_radix(s2, c3):
     p = direct_product([s2, c3])
     assert p.size == 6

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ultracon import ElemMap, con_lattice_bruteforce, congruence, direct_product, is_homomorphism, quotient
+from ultracon import ElemMap, con_lattice_bruteforce, congruence, direct_product, is_homomorphism, kernel, quotient
 from ultracon.algebra import _radix_sums, _take_each_axis
 
 from oracles import naive_is_homomorphism, naive_product_table
@@ -27,6 +27,15 @@ def products(draw):
 def test_product_tables_match_the_per_tuple_oracle(prod):
     for sym in prod.signature.names:
         assert list(prod.table(sym)) == naive_product_table(prod, sym), sym
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), max_size=30))))
+def test_kernel_gives_each_element_the_first_with_its_image(case):
+    target, image = case
+    least = {}
+    expected = tuple(least.setdefault(y, x) for x, y in enumerate(image))
+    assert kernel(ElemMap(len(image), target, image)).class_id == expected
 
 
 @PROPERTY

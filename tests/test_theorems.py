@@ -28,6 +28,7 @@ from ultracon import (
     principal_ultrafilter,
     product_congruence,
     quotient,
+    sweep_thm2,
     ultraproduct,
     union_of_meets,
     verify_thm1,
@@ -570,6 +571,103 @@ def test_a_map_that_misses_a_target_element_fails_the_surjectivity_check(names, 
     checks = {c.name: c for c in report.checks}
     assert not report.passed
     assert not checks["coordinatewise-map-is-surjective"].passed
+
+
+def test_faulted_kernels_and_maps_leave_only_congruences_recorded(c3, by_name, monkeypatch):
+    # verify_thm2 records the kernel of a map that passed its homomorphism
+    # check; the record must come from the map itself, so neither a faked
+    # kernel() beside a true map nor a map that is no homomorphism may
+    # leave a non-congruence recorded on the product
+    fakes = [
+        lambda h: Partition.full(h.source_size),
+        lambda h: Partition.identity(h.source_size),
+        lambda h: Partition(h.image[1:] + h.image[:1]),
+    ]
+    products = {}
+    for names in [("C3", "C3"), ("S2", "C3", "S2"), ("Z4", "Z2")]:
+        factors = [by_name[n] for n in names]
+        for choice in iter_product(*(list(con_lattice(f)) for f in factors)):
+            fam = CongruenceFamily(factors, choice)
+            for i0 in range(len(factors)):
+                ultra = principal_ultrafilter(len(factors), i0)
+                for fake in fakes:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(theorems, "kernel", fake)
+                        verify_thm2(fam, ultra)
+                prod_alg = direct_product(factors)
+                products[id(prod_alg)] = prod_alg
+    real = theorems.coordinatewise_quotient_map
+
+    def swapped(*args):
+        h = real(*args)
+        return ElemMap(h.source_size, h.target_size, [1 - y for y in h.image])
+
+    fam = CongruenceFamily([c3, c3], [sigma_a(), sigma_b()])
+    with monkeypatch.context() as patch:
+        patch.setattr(theorems, "coordinatewise_quotient_map", swapped)
+        assert not verify_thm2(fam, principal_ultrafilter(2, 0)).passed
+    prod_alg = direct_product([c3, c3])
+    products[id(prod_alg)] = prod_alg
+    for prod_alg in products.values():
+        assert prod_alg._congruences
+        for cid in prod_alg._congruences:
+            assert naive_first_violation(prod_alg, cid) is None, (prod_alg.name, cid)
+
+
+def test_a_map_the_homomorphism_check_rejects_records_no_kernel(c3, monkeypatch):
+    # moving the last element's image makes a map whose kernel is no
+    # congruence of C3 x C3; verify_thm2 must not record it, so building
+    # that kernel as a congruence still fails
+    fam = CongruenceFamily([c3, c3], [Partition.identity(3), Partition.identity(3)])
+    ultra = principal_ultrafilter(2, 0)
+    real = theorems.coordinatewise_quotient_map
+    h = real(fam, ultra)
+    moved = ElemMap(h.source_size, h.target_size, h.image[:-1] + ((h.image[-1] + 1) % h.target_size,))
+    prod_alg = direct_product([c3, c3])
+    ker = kernel(moved)
+    assert naive_first_violation(prod_alg, ker.class_id) is not None
+    monkeypatch.setattr(theorems, "coordinatewise_quotient_map", lambda *args: moved)
+    checks = {c.name: c.passed for c in verify_thm2(fam, ultra).checks}
+    assert not checks["coordinatewise-map-is-homomorphism"]
+    assert ker.class_id not in prod_alg._congruences
+    with pytest.raises(ValidationError):
+        Congruence(prod_alg, ker)
+
+
+def test_a_product_congruence_that_is_no_congruence_fails_its_checks(c3, s2, monkeypatch):
+    # theta with the product's last element moved into the class of 0: on
+    # C3 x C3 under the identities that is no congruence, so theta is
+    # neither the recorded kernel nor valid; the verifier reports that on
+    # every check that needs theta, and a sweep runs to its end
+    real = theorems.product_congruence
+
+    def merged_with_last(family, ultra):
+        labels = list(real(family, ultra).class_id)
+        labels[-1] = 0
+        return Congruence(direct_product(family.factors), labels)
+
+    fam = CongruenceFamily([c3, c3], [Partition.identity(3), Partition.identity(3)])
+    ultra = principal_ultrafilter(2, 0)
+    with pytest.raises(ValidationError) as raised:
+        merged_with_last(fam, ultra)
+    reason = {"reason": str(raised.value)}
+    monkeypatch.setattr(theorems, "product_congruence", merged_with_last)
+    report = verify_thm2(fam, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not report.passed
+    assert checks["coordinatewise-map-is-homomorphism"].passed
+    assert checks["coordinatewise-map-is-surjective"].passed
+    for name in ("kernel-is-product-congruence", "map-factors-through-transferred-congruence",
+                 "induced-map-is-isomorphism", "independent-isomorphism-search"):
+        assert not checks[name].passed
+        assert checks[name].witness == reason
+    assert report.info["transferred_congruence"] == reason
+    assert json.loads(report.to_json())["checks"][2]["witness"] == reason
+    result = sweep_thm2([s2, c3])
+    assert not result.passed and result.failures
+    for failure in result.failures:
+        kernel_check = {c["name"]: c for c in failure["checks"]}["kernel-is-product-congruence"]
+        assert not kernel_check["passed"] and "not a congruence" in kernel_check["witness"]["reason"]
 
 
 def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
