@@ -396,9 +396,10 @@ class Congruence(Partition):
     fixed by the algebra's immutable tables and the full class_id.  Only
     congruences are recorded, so a non-congruence fails every time.  The
     other records come through _trusted from results that are congruences
-    by construction: con_lattice's rows, after its own stacked check, and
-    the kernel of a map that is_homomorphism accepted (verify_thm2), since
-    the kernel of a homomorphism is a congruence of its source.
+    by construction: con_lattice's rows, after its own stacked check; the
+    kernel of a map that is_homomorphism accepted (verify_thm2), since
+    the kernel of a homomorphism is a congruence of its source; and D*
+    once dstar has matched its labels with the core projection's kernel.
     """
 
     __slots__ = ("algebra",)

@@ -18,6 +18,7 @@ from .algebra import (
     DEFAULT_SIZE_GUARD,
     ProductAlgebra,
     QuotientAlgebra,
+    _coordinate_vectors,
     _radix_sums,
     direct_product,
     quotient as make_quotient,
@@ -110,11 +111,24 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
 
     Relates x and y iff the set of coordinates where they agree is in the
     ultrafilter.  Same as the product congruence of the identity family.
+    With S the filter's least member that is x|S == y|S, the kernel of the
+    projection x -> x|S: a homomorphism, as the product acts coordinatewise,
+    so D* is a congruence by construction.  One O(|P|) pass holds the labels
+    against that kernel's least-member form, the sum over i in S of
+    x_i * stride_i with coordinates decoded apart from the labeller; labels
+    that match are recorded unvalidated (Congruence._trusted), others are
+    validated in full.
     """
     product = direct_product(factors, max_size)
     _check_index_match(len(product.factors), ultra)
     identities = [np.arange(f.size)[None, :] for f in product.factors]
-    return Congruence(product, _least_member_labels(product, identities, ultra)[0])
+    labels = _least_member_labels(product, identities, ultra)[0]
+    core = _core(ultra)
+    sizes, strides = [product.factors[i].size for i in core], [product.strides[i] for i in core]
+    least = sum(c * s for c, s in zip(_coordinate_vectors(sizes, strides, np.arange(product.size)), strides))
+    if np.array_equal(labels, least):
+        return Congruence._trusted(product, tuple(labels.tolist()))
+    return Congruence(product, labels)
 
 
 def product_congruence(family: CongruenceFamily, ultra: UltrafilterD) -> Congruence:

@@ -68,7 +68,7 @@ from .constructions import (
 )
 from .errors import SizeGuardError, ValidationError
 from .iso import find_isomorphism
-from .ultrafilter import UltrafilterD, mask_elements
+from .ultrafilter import UltrafilterD, _EncodedOnce, mask_elements
 
 EXHAUSTIVE_LIMIT = 4096  # sweep every family when the family count is at most this
 SAMPLE_SIZE = 500
@@ -133,8 +133,9 @@ def json_text(data) -> str:
 
     With an indent, json.dumps runs the json module's pure-Python encoder.
     This writes the same pieces into one list, for the types that reports
-    hold: dicts with str keys, lists, tuples, str, int, bool and None.
-    Data holding anything else goes to json.dumps whole.
+    hold: dicts with str keys, lists, tuples, str, int, bool and None; an
+    _EncodedOnce is written once per indentation and then from its kept
+    text.  Data holding anything else goes to json.dumps whole.
     """
     out = []
     try:
@@ -173,6 +174,13 @@ def _encode(value, newline: str, out: list) -> None:
                 _encode(item, inner, out)
                 sep = "," + inner
         out.append(newline + closer)
+    elif kind is _EncodedOnce:
+        text = value.texts.get(newline)
+        if text is None:
+            part = []
+            _encode(tuple(value), newline, part)
+            text = value.texts[newline] = "".join(part)
+        out.append(text)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -185,10 +193,6 @@ def _encode(value, newline: str, out: list) -> None:
 
 def _family_text(family: CongruenceFamily) -> list:
     return [format_partition(c) for c in family.choice]
-
-
-def _ultra_text(ultra: UltrafilterD) -> list:
-    return [list(s) for s in ultra.members_as_sets()]
 
 
 def congruence_on_ultraproduct(family: CongruenceFamily, ultra: UltrafilterD) -> Congruence:
@@ -544,7 +548,7 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
 
     instance = {
         "factors": [{"name": f.name, "size": f.size} for f in factors],
-        "ultrafilter": _ultra_text(ultra),
+        "ultrafilter": ultra.members_as_sets(),
         "family_count": total,
         "mode": "exhaustive" if exhaustive else "sampled",
         "seed": seed,
@@ -584,7 +588,8 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     family and is then not validated again; a theta that differs from it
     is validated in full.  A theta that is no congruence fails
     kernel-is-product-congruence and every check that needs theta, each
-    with the reason as its witness.
+    with the reason as its witness; one that D* does not refine fails the
+    three checks after kernel-is-product-congruence that way.
     """
     factors = family.factors
     prod = direct_product(factors)
@@ -594,7 +599,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     instance = {
         "factors": [{"name": f.name, "size": f.size} for f in factors],
         "sigma": _family_text(family),
-        "ultrafilter": _ultra_text(ultra),
+        "ultrafilter": ultra.members_as_sets(),
     }
     info = {
         "product_size": prod.size,
@@ -613,15 +618,17 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     surj_ok = cmap.is_surjective()
     checks.append(Check("coordinatewise-map-is-surjective", surj_ok))
 
+    def without_theta(names, exc):
+        reason = {"reason": str(exc)}
+        info["transferred_congruence"] = reason
+        return VerificationReport("thm2", instance, tuple(checks + [Check(n, False, reason) for n in names]), info)
+
     ker = kernel(cmap)
     try:
         theta = product_congruence(family, ultra)
     except ValidationError as exc:
         # theta is neither the kernel recorded above nor a congruence
-        reason = {"reason": str(exc)}
-        checks += [Check(name, False, reason) for name in _THETA_CHECKS]
-        info["transferred_congruence"] = reason
-        return VerificationReport("thm2", instance, tuple(checks), info)
+        return without_theta(_THETA_CHECKS, exc)
     ker_witness = None
     if ker.class_id != theta.class_id:
         # row a holds a mismatch iff a's kernel class, theta class and their meet differ in size
@@ -649,7 +656,11 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     checks.append(Check("kernel-is-product-congruence", ker_witness is None, ker_witness))
 
     # factor the map through ultraproduct / transferred congruence
-    transferred = induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
+    try:
+        transferred = induced_congruence(theta, ultra_alg.congruence, quotient_algebra=ultra_alg)
+    except ValidationError as exc:
+        # D* does not refine theta, so theta does not reach the ultraproduct
+        return without_theta(_THETA_CHECKS[1:], exc)
     inner = quotient(ultra_alg, transferred)
     image = cmap.array
     over = inner.projection_array[ultra_alg.projection_array]  # inner element below each p
@@ -736,16 +747,20 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
     checks.append(Check("natural-embedding-is-injective-homomorphism", embed_ok))
 
     family = CongruenceFamily((algebra,) * ultra.n, sigmas)
-    transferred = congruence_on_ultraproduct(family, ultra)
-    pulled = Partition([transferred.class_id[embed[a]] for a in algebra.elements])
     pull_witness = None
-    if not np.array_equal(pulled.to_matrix(), restr_matrix):
-        a, b = map(int, np.argwhere(pulled.to_matrix() != restr_matrix)[0])
-        pull_witness = {
-            "pair": [a, b],
-            "pullback_relates": bool(pulled.to_matrix()[a, b]),
-            "restriction_relates": bool(restr_matrix[a, b]),
-        }
+    try:
+        transferred = congruence_on_ultraproduct(family, ultra)
+    except ValidationError as exc:
+        pull_witness = {"reason": str(exc)}
+    else:
+        pulled = Partition([transferred.class_id[embed[a]] for a in algebra.elements]).to_matrix()
+        if not np.array_equal(pulled, restr_matrix):
+            a, b = map(int, np.argwhere(pulled != restr_matrix)[0])
+            pull_witness = {
+                "pair": [a, b],
+                "pullback_relates": bool(pulled[a, b]),
+                "restriction_relates": bool(restr_matrix[a, b]),
+            }
     checks.append(Check("pullback-along-embedding-equals-restriction", pull_witness is None, pull_witness))
 
     try:
@@ -755,7 +770,7 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
     instance = {
         "algebra": {"name": algebra.name, "size": algebra.size},
         "sigma": [format_partition(s) for s in sigmas],
-        "ultrafilter": _ultra_text(ultra),
+        "ultrafilter": ultra.members_as_sets(),
     }
     info = {
         "ultrapower_size": power.size,

@@ -129,13 +129,22 @@ def check_4star(n: int, members) -> bool:
     return True
 
 
+class _EncodedOnce(tuple):
+    """An immutable tuple that keeps, per indentation, the text that the
+    report encoder (theorems.json_text) wrote for it."""
+
+    def __init__(self, items):
+        self.texts = {}
+
+
 class UltrafilterD:
     """A verified ultrafilter over {0..n-1}.
 
     Members are bitmask ints, ordered by (popcount, numeric value) so that
     iteration order is canonical.  Construction re-checks the axioms and
     raises ValidationError with the first violation otherwise.  The member
-    sets and the repr are built once, on first use.
+    sets and the repr are built once, on first use; reports share the one
+    tuple of member sets, so its text is encoded once per indentation.
     """
 
     __slots__ = ("n", "members", "_member_set", "_sets", "_repr")
@@ -167,7 +176,7 @@ class UltrafilterD:
 
     def members_as_sets(self) -> tuple:
         if self._sets is None:
-            self._sets = tuple(mask_elements(s) for s in self.members)
+            self._sets = _EncodedOnce(mask_elements(s) for s in self.members)
         return self._sets
 
     def principal_index(self) -> int:

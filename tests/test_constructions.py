@@ -2,6 +2,8 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultracon import (
     CongruenceFamily,
@@ -13,15 +15,18 @@ from ultracon import (
     find_isomorphism,
     induced_congruence,
     isomorphic_by_bruteforce,
+    make_algebra,
     principal_ultrafilter,
     product_congruence,
     quotient,
     ultraproduct,
 )
-from ultracon import constructions
+from ultracon import algebra, congruence, constructions
+from ultracon.constructions import UltraproductAlgebra
 from ultracon.congruence import parse_partition
 
-from oracles import UpSet, definitional_product_matrix, naive_product_relates
+from oracles import UpSet, definitional_product_matrix, naive_first_violation, naive_product_relates, relation_matrix
+from test_congruence_properties import PROPERTY
 
 
 def test_family_validation(c3, s2):
@@ -116,6 +121,89 @@ def test_stacked_labels_match_definition_on_two_coordinate_core(s2, c3):
         rel = definitional_product_matrix(prod, [s.to_matrix() for s in sigmas], up)
         assert np.array_equal(Partition(row).to_matrix(), rel)
         assert Partition(row).class_id == tuple(row)  # least-member ids
+
+
+# largest sum over symbols of arity * |P|**arity that a product may reach,
+# so that naive_first_violation stays quick under every filter of an example
+NAIVE_WORK = 3000
+
+
+@st.composite
+def products(draw):
+    """1-4 random algebras of at most 4 elements sharing one signature of
+    arities 0-3, kept small enough for the per-tuple oracle."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    signature = [(f"f{i}", k) for i, k in enumerate(arities)]
+    factors, size = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        fits = [n for n in range(1, 5) if sum(k * (size * n) ** k for k in arities) <= NAIVE_WORK]
+        n = draw(st.sampled_from(fits))
+        cells = st.integers(0, n - 1)
+        factors.append(make_algebra(signature, n, {sym: draw(st.lists(cells, min_size=n**k, max_size=n**k))
+                                                   for sym, k in signature}))
+        size *= n
+    return factors
+
+
+@PROPERTY
+@given(products())
+def test_dstar_is_the_definitional_congruence_under_every_filter(factors):
+    # principal ultrafilters and the up-sets of every nonempty core, whose
+    # labels dstar holds against the core projection before trusting them
+    n = len(factors)
+    prod = direct_product(factors)
+    identities = [np.eye(f.size, dtype=bool) for f in factors]
+    for filt in [principal_ultrafilter(n, i) for i in range(n)] + [UpSet(n, core) for core in range(1, 1 << n)]:
+        d = dstar(factors, filt)
+        assert naive_first_violation(prod, d.class_id) is None
+        assert np.array_equal(relation_matrix(d), definitional_product_matrix(prod, identities, filt))
+
+
+def _fresh_products():
+    """Drop the cached products, so the next ones carry no recorded congruences."""
+    algebra._direct_product_cached.cache_clear()
+    constructions._ultraproduct_cached.cache_clear()
+
+
+def test_dstar_trusts_its_labels_without_a_validation_pass(s2, c3, monkeypatch):
+    # the labels match the core projection's kernel under every filter, one-
+    # and many-coordinate cores alike, so no compatibility pass runs
+    def refuse(*args):
+        raise AssertionError("dstar validated labels that its certificate covers")
+
+    _fresh_products()
+    monkeypatch.setattr(congruence, "_congruence_violations", refuse)
+    for factors in ([c3, c3], [s2, c3, s2]):
+        n = len(factors)
+        for filt in [principal_ultrafilter(n, i) for i in range(n)] + [UpSet(n, core) for core in range(1, 1 << n)]:
+            assert dstar(factors, filt).class_id in direct_product(factors)._congruences
+
+
+@pytest.mark.parametrize("names, filt", [(("C3", "C3"), principal_ultrafilter(2, 0)),
+                                         (("S2", "C3", "S2"), UpSet(3, 0b101))])
+def test_a_faulted_dstar_labelling_is_validated_and_never_recorded(by_name, names, filt, monkeypatch):
+    # labels with the last element moved into the class of 0 fail the
+    # certificate; dstar then validates them, refuses them, and the
+    # product keeps only congruences on record
+    factors = [by_name[n] for n in names]
+    real = constructions._least_member_labels
+
+    def merged_with_last(product, class_ids, ultra):
+        rows = real(product, class_ids, ultra).copy()
+        rows[:, -1] = 0
+        return rows
+
+    _fresh_products()
+    prod = direct_product(factors)
+    identities = [np.arange(f.size)[None, :] for f in factors]
+    assert naive_first_violation(prod, tuple(merged_with_last(prod, identities, filt)[0].tolist())) is not None
+    monkeypatch.setattr(constructions, "_least_member_labels", merged_with_last)
+    with pytest.raises(ValidationError, match="not a congruence"):
+        UltraproductAlgebra(factors, filt)
+    with pytest.raises(ValidationError, match="not a congruence"):
+        ultraproduct(factors, filt)
+    for cid in prod._congruences:
+        assert naive_first_violation(prod, cid) is None
 
 
 def test_product_congruence_contains_agreement(c3):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultracon import (
+    UltrafilterD,
     principal_ultrafilter,
     sweep_principal_collapse,
     sweep_thm1,
@@ -17,10 +18,15 @@ from ultracon import (
     verify_thm2,
     verify_thm3,
 )
+from ultracon import theorems
+from ultracon.algebra import save_algebra
+from ultracon.cli import main
 from ultracon.constructions import CongruenceFamily
-from ultracon.congruence import parse_partition
+from ultracon.congruence import Partition, parse_partition
 from ultracon.corpus import standard_corpus
 from ultracon.theorems import json_text
+
+from test_theorems import _identity_theta
 
 
 def stdlib(data) -> str:
@@ -99,3 +105,60 @@ def test_json_text_is_the_stdlib_text_of_every_golden_report(by_name):
         assert json_text(data) == stdlib(data)
         count += 1
     assert count == 9
+
+
+def _member_lists(ultra) -> list:
+    return [list(s) for s in ultra.members_as_sets()]
+
+
+def test_reports_that_share_an_ultrafilter_encode_like_the_stdlib(by_name):
+    # the member text is kept on the ultrafilter and reused by the next report
+    c3, z3 = by_name["C3"], by_name["Z3"]
+    ultra = principal_ultrafilter(3, 1)
+    sigmas = [parse_partition("[[0,1],[2]]", 3), parse_partition("[[0],[1,2]]", 3)]
+    reports = [verify_thm2(CongruenceFamily([c3, c3, z3], [s, s, Partition.identity(3)]), ultra) for s in sigmas]
+    reports.append(verify_thm1([c3, c3, c3], ultra))
+    for _ in range(2):
+        for report in reports:
+            data = report.to_dict()
+            assert report.to_json() == json_text(data) == stdlib(data)
+            assert json.loads(stdlib(data))["instance"]["ultrafilter"] == _member_lists(ultra)
+
+
+def test_equal_ultrafilters_built_apart_encode_like_the_stdlib(by_name):
+    c3 = by_name["C3"]
+    first = principal_ultrafilter(2, 0)
+    second = UltrafilterD.from_sets(2, [[0, 1], [0]])
+    assert first == second and first is not second
+    texts = [verify_thm2(CongruenceFamily.identities([c3, c3]), u).to_json() for u in (first, second, first)]
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == stdlib(verify_thm2(CongruenceFamily.identities([c3, c3]), second).to_dict())
+
+
+def test_a_sweep_nests_the_member_text_one_level_deeper_like_the_stdlib(by_name, monkeypatch):
+    # a theta below D* fails every family, so the sweep's failures hold the
+    # reports, and their ultrafilters sit one indentation deeper than in a
+    # report of their own; encode each depth, then the other, then again
+    monkeypatch.setattr(theorems, "product_congruence", _identity_theta)
+    data = sweep_thm2([by_name["S2"], by_name["C3"]]).to_dict()
+    failure = data["failures"][0]
+    assert not data["passed"] and len(data["failures"]) > 1
+    for value in (failure, data, failure, {"nested": [data]}):
+        assert json_text(value) == stdlib(value)
+    members = json.loads(stdlib(data))["failures"][0]["instance"]["ultrafilter"]
+    assert members == [list(s) for s in failure["instance"]["ultrafilter"]]
+
+
+def test_the_cli_report_file_is_the_stdlib_text(by_name, tmp_path, capsys):
+    paths = []
+    for name in ("C3", "Z3"):
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_algebra(by_name[name], paths[-1])
+    for k in range(2):
+        report = tmp_path / f"report{k}.json"
+        assert main(["verify", "thm2", "--factors", *paths, "--sigma", "[[0,1],[2]]", "--sigma", "[[0],[1],[2]]",
+                     "--ultrafilter", "principal:1", "--report", str(report)]) == 0
+        text = report.read_text()
+        assert text == stdlib(json.loads(text)) + "\n"
+        assert json.loads(text)["instance"]["ultrafilter"] == [[1], [0, 1]]
+    capsys.readouterr()

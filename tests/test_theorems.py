@@ -20,6 +20,7 @@ from ultracon import (
     coordinatewise_quotient_map,
     diagonal_restriction,
     direct_product,
+    induced_congruence,
     is_homomorphism,
     join_of_meets,
     kernel,
@@ -29,6 +30,7 @@ from ultracon import (
     product_congruence,
     quotient,
     sweep_thm2,
+    sweep_thm3,
     ultraproduct,
     union_of_meets,
     verify_thm1,
@@ -668,6 +670,69 @@ def test_a_product_congruence_that_is_no_congruence_fails_its_checks(c3, s2, mon
     for failure in result.failures:
         kernel_check = {c["name"]: c for c in failure["checks"]}["kernel-is-product-congruence"]
         assert not kernel_check["passed"] and "not a congruence" in kernel_check["witness"]["reason"]
+
+
+def _identity_theta(family, ultra):
+    """The identity congruence of the family's product: below D*, not above it."""
+    prod = direct_product(family.factors)
+    return Congruence(prod, Partition.identity(prod.size))
+
+
+def _unrefined_reason(factors, ultra) -> dict:
+    ultra_alg = ultraproduct(factors, ultra)
+    with pytest.raises(ValidationError, match="does not refine") as raised:
+        induced_congruence(_identity_theta(CongruenceFamily.identities(factors), ultra), ultra_alg.congruence,
+                           quotient_algebra=ultra_alg)
+    return {"reason": str(raised.value)}
+
+
+def test_a_product_congruence_that_dstar_does_not_refine_fails_the_checks_after_the_kernel(c3, monkeypatch):
+    # theta the identity of C3 x C3 is a congruence, but it lies below D*
+    # under a principal ultrafilter, so it does not carry down to the
+    # ultraproduct; the three checks after the kernel check fail with that
+    # reason, and a sweep runs to its end
+    fam = CongruenceFamily.identities([c3, c3])
+    ultra = principal_ultrafilter(2, 0)
+    reason = _unrefined_reason([c3, c3], ultra)
+    monkeypatch.setattr(theorems, "product_congruence", _identity_theta)
+    report = verify_thm2(fam, ultra)
+    checks = {c.name: c for c in report.checks}
+    assert not report.passed and len(checks) == 6
+    assert checks["coordinatewise-map-is-homomorphism"].passed
+    assert checks["coordinatewise-map-is-surjective"].passed
+    kernel_check = checks["kernel-is-product-congruence"]
+    assert not kernel_check.passed and kernel_check.witness["kernel_relates"]
+    assert not kernel_check.witness["product_congruence_relates"]
+    for name in ("map-factors-through-transferred-congruence", "induced-map-is-isomorphism",
+                 "independent-isomorphism-search"):
+        assert not checks[name].passed
+        assert checks[name].witness == reason
+    assert report.info["transferred_congruence"] == reason
+    assert json.loads(report.to_json())["checks"][3]["witness"] == reason
+    result = sweep_thm2([c3, c3])
+    assert not result.passed and result.failures and result.instances
+    for failure in result.failures:
+        last = {c["name"]: c for c in failure["checks"]}["independent-isomorphism-search"]
+        assert not last["passed"] and "does not refine" in last["witness"]["reason"]
+
+
+def test_a_transferred_congruence_that_raises_fails_the_pullback(c3, monkeypatch):
+    # the same theta below D* makes congruence_on_ultraproduct raise inside
+    # verify_thm3; only the pullback check needs it, and it fails with the reason
+    ultra = principal_ultrafilter(2, 0)
+    reason = _unrefined_reason([c3, c3], ultra)
+    monkeypatch.setattr(theorems, "product_congruence", _identity_theta)
+    report = verify_thm3(c3, [sigma_a(), sigma_b()], ultra)
+    checks = {c.name: c for c in report.checks}
+    pullback = checks.pop("pullback-along-embedding-equals-restriction")
+    assert not report.passed
+    assert not pullback.passed and pullback.witness == reason
+    assert all(c.passed for c in checks.values())
+    result = sweep_thm3([c3])
+    assert not result.passed and result.failures and result.instances
+    for failure in result.failures:
+        pull = {c["name"]: c for c in failure["checks"]}["pullback-along-embedding-equals-restriction"]
+        assert not pull["passed"] and "does not refine" in pull["witness"]["reason"]
 
 
 def test_verify_thm2_reports_a_search_past_its_guard_as_fail():
