@@ -179,8 +179,7 @@ class Algebra:
         self._tuples = {}
         # Results that depend only on these immutable tables, kept with them:
         self._isos = {}  # find_isomorphism results from this algebra, by (target, guard)
-        # class_id tuples known to be congruences: validation passes and
-        # kernels of maps that is_homomorphism accepted (Congruence._trusted)
+        # keys of the partitions that passed Congruence validation or came through _trusted
         self._congruences = set()
         self._iso_maps = {}  # is the map with this image an isomorphism, by (target, image)
 
@@ -469,13 +468,12 @@ class QuotientAlgebra(Algebra):
 
     def __init__(self, parent: Algebra, congruence, max_size: int = DEFAULT_SIZE_GUARD):
         congruence = _congruence._as_congruence(parent, congruence)
-        cid = np.asarray(congruence.class_id, dtype=np.int64)
-        is_rep = cid == np.arange(parent.size)
+        is_rep = congruence.labels == np.arange(parent.size)
         reps = np.flatnonzero(is_rep)
         if len(reps) > max_size:
             raise SizeGuardError(f"quotient carrier would have {len(reps)} elements, guard is {max_size}")
         # a class's number is the count of least members below its own
-        proj = (np.cumsum(is_rep) - 1)[cid]
+        proj = (np.cumsum(is_rep) - 1)[congruence.labels]
         tables = {}
         for sym, arity in parent.signature.symbols:
             picked = _take_each_axis(parent.table_array(sym), parent.size, [reps] * arity)
@@ -506,7 +504,7 @@ def kernel(h: ElemMap):
     with its image, which is least-member form already.
     """
     labels = _congruence._least_members(h.array, h.target_size)
-    return _congruence.Partition._canonical(tuple(labels.tolist()))
+    return _congruence.Partition._canonical(labels.tobytes())
 
 
 def is_homomorphism(h: ElemMap, source: Algebra, target: Algebra) -> bool:

@@ -107,7 +107,7 @@ def _cmd_ultraproduct(args) -> int:
     data = algebra_to_dict(power, provenance={
         "construction": "ultraproduct",
         "factors": [{"name": f.name, "size": f.size} for f in power.factors],
-        "ultrafilter": [list(s) for s in ultra.members_as_sets()],
+        "ultrafilter": ultra.members_as_sets(),
         "class_representatives": [list(power.product.decode(r)) for r in power.class_reps],
     })
     _dump_json(data, args.out)
@@ -117,7 +117,7 @@ def _cmd_ultraproduct(args) -> int:
 def _cmd_ultrafilters(args) -> int:
     found = enumerate_ultrafilters(args.n)
     if args.format == "json":
-        _dump_json([[list(s) for s in d.members_as_sets()] for d in found], args.out)
+        _dump_json([d.members_as_sets() for d in found], args.out)
     else:
         lines = []
         for d in found:

@@ -1,9 +1,9 @@
 """Partitions of a finite carrier and congruences of finite algebras.
 
-Canonical form everywhere: a partition of {0..n-1} is stored as the tuple
-class_id where class_id[e] is the LEAST element of e's class.  Two
-partitions are equal iff their class_id tuples are equal, class_id[e] <= e,
-and class_id[class_id[e]] == class_id[e].
+Canonical form everywhere: a partition of {0..n-1} is stored once, as the
+bytes `key` of the int64 labels where labels[e] is the LEAST element of
+e's class.  Two partitions are equal iff their keys are equal,
+labels[e] <= e, and labels[labels[e]] == labels[e].
 
 The text form is JSON: "[[0,1],[2]]" with blocks sorted by least element
 and elements ascending, no spaces.
@@ -34,32 +34,43 @@ from .errors import SizeGuardError, ValidationError
 class Partition:
     """An equivalence relation on {0..size-1} in least-member canonical form.
 
-    The constructor accepts any labelling (each equal label = one class)
-    and canonicalizes it, so Partition(p.class_id) == p always holds.  A
-    1-D int64 array that is already canonical is taken as it is.
+    Stored once, as `key`, the bytes of its int64 labels; equality, hashing,
+    records and indexes use it.  `labels`, a read-only view of key, and the
+    tuple `class_id` are built on first read.  Any labelling is canonicalized
+    (equal labels, one class) and never aliased, so Partition(p.labels) == p.
     """
 
-    __slots__ = ("size", "class_id", "_hash", "_text")
+    __slots__ = ("key", "size", "_labels", "_class_id", "_text")
 
     def __init__(self, labels):
-        if isinstance(labels, np.ndarray) and labels.dtype == np.int64 and labels.ndim == 1 and _is_canonical(labels):
-            cid = tuple(labels.tolist())
+        if isinstance(labels, Partition):
+            key, cid = labels.key, labels._class_id
+        elif isinstance(labels, np.ndarray) and labels.dtype == np.int64 and labels.ndim == 1 and _is_canonical(labels):
+            key, cid = labels.tobytes(), None
         else:
             least = {}
-            cid = []
-            for e, lab in enumerate(tuple(labels)):
-                if lab not in least:
-                    least[lab] = e
-                cid.append(least[lab])
-            cid = tuple(cid)
-        self.size, self.class_id, self._hash, self._text = len(cid), cid, None, None
+            cid = tuple([least.setdefault(lab, e) for e, lab in enumerate(labels)])
+            key = np.array(cid, dtype=np.int64).tobytes()
+        self.key, self.size, self._labels, self._class_id, self._text = key, len(key) // 8, None, cid, None
 
     @classmethod
-    def _canonical(cls, class_id: tuple) -> "Partition":
-        """A partition of class_id, which is in least-member form already (not checked)."""
+    def _canonical(cls, key: bytes) -> "Partition":
+        """A partition of key, the bytes of least-member labels already (not checked)."""
         p = cls.__new__(cls)
-        p.size, p.class_id, p._hash, p._text = len(class_id), class_id, None, None
+        p.key, p.size, p._labels, p._class_id, p._text = key, len(key) // 8, None, None, None
         return p
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self._labels is None:
+            self._labels = np.frombuffer(self.key, dtype=np.int64)
+        return self._labels
+
+    @property
+    def class_id(self) -> tuple:
+        if self._class_id is None:
+            self._class_id = tuple(self.labels.tolist())
+        return self._class_id
 
     @classmethod
     def identity(cls, size: int) -> "Partition":
@@ -128,31 +139,30 @@ class Partition:
             bad = np.argwhere(rel != (least[:, None] == least[None, :]))[0]
             a, b = map(int, bad)
             raise ValidationError(f"relation is not transitive: closure disagrees at ({a},{b})")
-        return cls(least.tolist())
+        return cls(least)
 
     def relates(self, a: int, b: int) -> bool:
-        return self.class_id[a] == self.class_id[b]
+        return bool(self.labels[a] == self.labels[b])
 
     def blocks(self) -> tuple:
         """Classes as tuples of ascending elements, sorted by least member."""
         out = {}
-        for e, r in enumerate(self.class_id):
+        for e, r in enumerate(self.labels.tolist()):
             out.setdefault(r, []).append(e)
         return tuple(tuple(out[r]) for r in sorted(out))
 
     @property
     def num_classes(self) -> int:
-        return len(set(self.class_id))
+        return int(np.count_nonzero(self.labels == np.arange(self.size)))
 
     def refines(self, other: "Partition") -> bool:
         """Is every class of self inside a class of other?"""
         if self.size != other.size:
             raise ValidationError(f"partition sizes differ: {self.size} vs {other.size}")
-        return all(other.class_id[e] == other.class_id[self.class_id[e]] for e in range(self.size))
+        return bool((other.labels[self.labels] == other.labels).all())
 
     def to_matrix(self) -> np.ndarray:
-        cid = np.asarray(self.class_id, dtype=np.int64)
-        return cid[:, None] == cid[None, :]
+        return self.labels[:, None] == self.labels[None, :]
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement: relate a pair iff both partitions relate it."""
@@ -164,19 +174,16 @@ class Partition:
         """Finest common coarsening: transitive closure of the union."""
         if self.size != other.size:
             raise ValidationError(f"partition sizes differ: {self.size} vs {other.size}")
-        left, right = (np.array([p.class_id], dtype=np.int64) for p in (self, other))
-        return Partition(_join_stack(left, right)[0])
+        return Partition(_join_stack(self.labels[None], other.labels[None])[0])
 
     __and__ = meet
     __or__ = join
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.class_id == other.class_id
+        return isinstance(other, Partition) and self.key == other.key
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.class_id)
-        return self._hash
+        return hash(self.key)
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -237,7 +244,6 @@ def all_partitions(size: int):
     if size < 1:
         raise ValidationError("a partition needs a non-empty carrier")
     labels = [0] * size
-    maxes = [0] * size
 
     def rec(pos, used):
         if pos == size:
@@ -247,7 +253,7 @@ def all_partitions(size: int):
             labels[pos] = lab
             yield from rec(pos + 1, used + (lab == used))
 
-    yield from rec(1, 1) if size > 1 else iter((Partition([0]),))
+    yield from rec(1, 1)
 
 
 # Largest temporary, in int64 entries, that a stacked pass builds: the
@@ -371,7 +377,7 @@ def _congruence_violation(algebra: Algebra, p: Partition):
     """First one-coordinate compatibility failure of p, or None (see _congruence_violations)."""
     if p.size != algebra.size:
         raise ValidationError(f"partition is over {p.size} elements, algebra has {algebra.size}")
-    return _congruence_violations(algebra, np.asarray([p.class_id], dtype=np.int64))[0]
+    return _congruence_violations(algebra, p.labels[None])[0]
 
 
 def _not_a_congruence(algebra: Algebra, witness) -> ValidationError:
@@ -391,9 +397,9 @@ def is_congruence(algebra: Algebra, p: Partition) -> bool:
 class Congruence(Partition):
     """A partition verified to be compatible with an algebra's operations.
 
-    Each algebra records the class_id of every partition that passed this
+    Each algebra records the key of every partition that passed this
     check on it, and a recorded one is not checked again: the outcome is
-    fixed by the algebra's immutable tables and the full class_id.  Only
+    fixed by the algebra's immutable tables and the full key.  Only
     congruences are recorded, so a non-congruence fails every time.  The
     other records come through _trusted from results that are congruences
     by construction: con_lattice's rows, after its own stacked check; the
@@ -405,22 +411,21 @@ class Congruence(Partition):
     __slots__ = ("algebra",)
 
     def __init__(self, algebra: Algebra, partition):
-        super().__init__(partition.class_id if isinstance(partition, Partition) else partition)
-        if self.size != algebra.size:
-            raise ValidationError(f"partition is over {self.size} elements, algebra has {algebra.size}")
-        if self.class_id not in algebra._congruences:
+        super().__init__(partition)
+        # a key of another length is never recorded, and its check raises
+        if self.key not in algebra._congruences:
             witness = _congruence_violation(algebra, self)
             if witness is not None:
                 raise _not_a_congruence(algebra, witness)
-            algebra._congruences.add(self.class_id)
+            algebra._congruences.add(self.key)
         self.algebra = algebra
 
     @classmethod
-    def _trusted(cls, algebra: Algebra, class_id: tuple) -> "Congruence":
-        """A Congruence of class_id, already checked on algebra; recorded there."""
-        c = cls._canonical(class_id)
+    def _trusted(cls, algebra: Algebra, key: bytes) -> "Congruence":
+        """A Congruence of key, already checked on algebra; recorded there."""
+        c = cls._canonical(key)
         c.algebra = algebra
-        algebra._congruences.add(class_id)
+        algebra._congruences.add(key)
         return c
 
     def __repr__(self) -> str:
@@ -484,9 +489,14 @@ def _pairs(k: int, per_pair: int):
 
 
 def _row_keys(stack: np.ndarray) -> list:
-    """The bytes of each row of a 2-D array, as dictionary keys."""
+    """The bytes of each row of a 2-D array: for least-member rows, their partitions' keys."""
     stack = np.ascontiguousarray(stack)
     return stack.view(np.dtype((np.void, stack.shape[1] * stack.itemsize))).ravel().tolist()
+
+
+def _label_rows(partitions, n: int) -> np.ndarray:
+    """The read-only (len(partitions), n) stack of the partitions' labels."""
+    return np.frombuffer(b"".join(p.key for p in partitions), dtype=np.int64).reshape(len(partitions), n)
 
 
 def _union_stack(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -527,15 +537,13 @@ def _join_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _meet_stack(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Least-member class ids of the meet of each row of left with that row of right.
 
-    Elements share a meet class iff they share both class ids, so each
-    row's (left, right) code is given the least element that has it by
-    a scatter-min over count * n * n slots.
+    Elements share a meet class iff they share both class ids, so each flat
+    element gets the least one with its row's own (left, right) code.
     """
     count, n = left.shape
-    codes = (left * n + right + np.arange(0, count * n * n, n * n, dtype=np.int64)[:, None]).ravel()
-    least = np.full(count * n * n, n, dtype=np.int64)
-    np.minimum.at(least, codes, np.tile(np.arange(n, dtype=np.int64), count))
-    return least[codes].reshape(count, n)
+    offset = np.arange(count, dtype=np.int64)[:, None] * n
+    codes = (left * n + right + offset * n).ravel()
+    return _least_members(codes, count * n * n).reshape(count, n) - offset
 
 
 def _principal_stacks(rows: np.ndarray, pairs):
@@ -598,7 +606,7 @@ def principal_congruence(algebra: Algebra, a: int, b: int) -> Congruence:
 class ConLattice:
     """All congruences of an algebra in canonical order.
 
-    Order: ascending number of classes, then lexicographic class_id; so the
+    Order: ascending number of classes, then lexicographic labels; so the
     full relation comes first and the identity relation last.
     """
 
@@ -606,14 +614,19 @@ class ConLattice:
 
     def __init__(self, algebra: Algebra, congruences):
         self.algebra = algebra
-        self.congruences = tuple(sorted(congruences, key=lambda c: (c.num_classes, c.class_id)))
-        self._index = {c.class_id: i for i, c in enumerate(self.congruences)}
+        congruences = tuple(congruences)
+        rows = _label_rows(congruences, algebra.size)
+        classes = np.count_nonzero(rows == np.arange(algebra.size), axis=1)
+        # np.lexsort sorts by its last key first
+        order = np.lexsort((*rows.T[::-1], classes)).tolist()
+        self.congruences = tuple(map(congruences.__getitem__, order))
+        self._index = {c.key: i for i, c in enumerate(self.congruences)}
         self._meet = None
         self._join = None
 
     def index(self, p: Partition) -> int:
         try:
-            return self._index[p.class_id]
+            return self._index[p.key]
         except KeyError:
             raise ValidationError(f"{format_partition(p)} is not a congruence of this algebra") from None
 
@@ -627,7 +640,7 @@ class ConLattice:
         return self.congruences[i]
 
     def __contains__(self, p) -> bool:
-        return isinstance(p, Partition) and p.class_id in self._index
+        return isinstance(p, Partition) and p.key in self._index
 
     @property
     def bottom(self) -> Congruence:
@@ -646,12 +659,11 @@ class ConLattice:
         results, needing at most per_pair entries per pair; the pairs
         i <= j go through a chunk at a time, in row-major order.
         """
-        ids = np.array([c.class_id for c in self.congruences], dtype=np.int64)
-        index = {key: i for i, key in enumerate(_row_keys(ids))}
+        ids = _label_rows(self.congruences, self.algebra.size)
         tbl = np.empty((len(ids), len(ids)), dtype=np.int64)
         for i, j in _pairs(len(ids), per_pair):
             keys = _row_keys(combine(ids[i], ids[j]))
-            tbl[i, j] = tbl[j, i] = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+            tbl[i, j] = tbl[j, i] = np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64, count=len(keys))
         return tbl
 
     def meet_table(self) -> np.ndarray:
@@ -671,7 +683,7 @@ class ConLattice:
 
     def cover_pairs(self) -> list:
         """Hasse diagram edges (lower, upper) by index, in row-major order."""
-        ids = np.array([c.class_id for c in self.congruences], dtype=np.int64)
+        ids = _label_rows(self.congruences, self.algebra.size)
         # leq[i, j]: c_i refines c_j, i.e. c_j sends each element and its
         # c_i-class representative to the same class
         leq = np.array([(row[ids] == row).all(axis=1) for row in ids]).T
@@ -721,14 +733,16 @@ def con_lattice(algebra: Algebra, max_size: int = DEFAULT_SIZE_GUARD) -> ConLatt
         frontier = np.concatenate(layer)
         found.append(frontier)
     stack = np.concatenate(found)
-    del found, seen  # before the tuples are built: C3^3 peaked at 364 MB with them, 248 MB without
+    del found, seen  # before the keys are built; as tuples, C3^3 peaked at 364 MB with them, 248 MB without
     odd = np.flatnonzero(~_is_canonical(stack))
     if len(odd):
         raise ValidationError(f"closure row {stack[odd[0]].tolist()} is not in least-member form")
     for witness in _congruence_violations(algebra, stack):
         if witness is not None:
             raise _not_a_congruence(algebra, witness)
-    return ConLattice(algebra, [Congruence._trusted(algebra, cid) for cid in map(tuple, stack.tolist())])
+    keys = _row_keys(stack)
+    del stack  # before ConLattice stacks the rows again: C3^3 peaked at 267 MB with it, 217 MB without
+    return ConLattice(algebra, [Congruence._trusted(algebra, key) for key in keys])
 
 
 def _generators(algebra: Algebra, seen: set):

@@ -61,14 +61,10 @@ class CongruenceFamily:
         return self.choice[i]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CongruenceFamily)
-            and self.factors == other.factors
-            and tuple(c.class_id for c in self.choice) == tuple(c.class_id for c in other.choice)
-        )
+        return isinstance(other, CongruenceFamily) and self.factors == other.factors and self.choice == other.choice
 
     def __hash__(self) -> int:
-        return hash((self.factors, tuple(c.class_id for c in self.choice)))
+        return hash((self.factors, self.choice))
 
     def __repr__(self) -> str:
         shown = ", ".join(format_partition(c) for c in self.choice)
@@ -90,18 +86,18 @@ def _core(ultra: UltrafilterD) -> list:
 def _least_member_labels(product: ProductAlgebra, class_ids, ultra: UltrafilterD) -> np.ndarray:
     """Least-member class ids of the relations {(x, y) : {i : x_i ~ y_i} in ultra}.
 
-    class_ids[i] is an (F, n_i) array: row f gives the least member of each
-    element's class under the f-th equivalence ~ on factor i.  Returns an
-    (F, |P|) int64 array, one row per f.  A filter on a finite index set
-    contains the intersection S of all its members and every superset of
-    S, so x and y are related exactly when x_i ~ y_i for every i in S: the
-    class of x is fixed by the classes of its coordinates in S, and its
-    least member has the least members of those classes at S and 0
-    elsewhere.  One broadcast pass per factor (algebra._radix_sums), with
-    no |P| x |P| array and no decode of the product elements.
+    class_ids[i] is an (F, n_i) int64 array: row f gives the least member
+    of each element's class under the f-th equivalence ~ on factor i.
+    Returns an (F, |P|) int64 array, one row per f.  A filter on a finite
+    index set contains the intersection S of all its members and every
+    superset of S, so x and y are related exactly when x_i ~ y_i for every
+    i in S: the class of x is fixed by the classes of its coordinates in
+    S, and its least member has the least members of those classes at S
+    and 0 elsewhere.  One broadcast pass per factor (algebra._radix_sums),
+    with no |P| x |P| array and no decode of the product elements.
     """
     core = _core(ultra)
-    return _radix_sums([np.asarray(class_ids[i], dtype=np.int64) * stride if i in core
+    return _radix_sums([class_ids[i] * stride if i in core
                         else np.zeros((1, f.size), dtype=np.int64)
                         for i, (f, stride) in enumerate(zip(product.factors, product.strides))])
 
@@ -127,7 +123,7 @@ def dstar(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUARD) -> C
     sizes, strides = [product.factors[i].size for i in core], [product.strides[i] for i in core]
     least = sum(c * s for c, s in zip(_coordinate_vectors(sizes, strides, np.arange(product.size)), strides))
     if np.array_equal(labels, least):
-        return Congruence._trusted(product, tuple(labels.tolist()))
+        return Congruence._trusted(product, labels.tobytes())
     return Congruence(product, labels)
 
 
@@ -139,7 +135,7 @@ def product_congruence(family: CongruenceFamily, ultra: UltrafilterD) -> Congrue
     """
     product = direct_product(family.factors)
     _check_index_match(len(product.factors), ultra)
-    class_ids = [[c.class_id] for c in family.choice]
+    class_ids = [c.labels[None] for c in family.choice]
     return Congruence(product, _least_member_labels(product, class_ids, ultra)[0])
 
 
@@ -184,7 +180,7 @@ def ultraproduct(factors, ultra: UltrafilterD, max_size: int = DEFAULT_SIZE_GUAR
 def _unrefined(theta_rows: np.ndarray, base) -> np.ndarray:
     """For each row of class ids, the first element whose base class leaves
     its theta_rows class, or -1 where base refines that row."""
-    mism = theta_rows != theta_rows.take(base.class_id, axis=1)
+    mism = theta_rows != theta_rows.take(base.labels, axis=1)
     if not mism.any():
         return np.full(len(theta_rows), -1)
     return np.where(mism.any(axis=1), mism.argmax(axis=1), -1)
@@ -193,7 +189,7 @@ def _unrefined(theta_rows: np.ndarray, base) -> np.ndarray:
 def _not_refined(base, e: int) -> ValidationError:
     """The error for a theta that base does not refine, e as _unrefined found it."""
     return ValidationError(
-        f"base does not refine theta: {e} and {base.class_id[e]} share a base class "
+        f"base does not refine theta: {e} and {int(base.labels[e])} share a base class "
         "but not a theta class"
     )
 
@@ -222,13 +218,12 @@ def induced_congruence(theta: Congruence, base: Congruence, quotient_algebra: Qu
         raise ValidationError(f"congruence sizes differ: {theta.size} vs {base.size}")
     if theta.algebra != base.algebra:
         raise ValidationError("theta and base are congruences of different algebras")
-    row = np.asarray([theta.class_id], dtype=np.int64)
+    row = theta.labels[None]
     e = int(_unrefined(row, base)[0])
     if e >= 0:
         raise _not_refined(base, e)
     if quotient_algebra is None:
         quotient_algebra = make_quotient(theta.algebra, base)
-    else:
-        if quotient_algebra.parent != theta.algebra or quotient_algebra.congruence != base:
-            raise ValidationError("supplied quotient was not built from this algebra and base")
+    elif quotient_algebra.parent != theta.algebra or quotient_algebra.congruence != base:
+        raise ValidationError("supplied quotient was not built from this algebra and base")
     return Congruence(quotient_algebra, _carried_down(row, quotient_algebra)[0])

@@ -122,8 +122,7 @@ def sweep_thm2(algebras, *, max_product: int = DEFAULT_MAX_PRODUCT, seed: int = 
     for factors, ultra in iter_instances(algebras, max_product):
         lattices = [con_lattice_of(f) for f in factors]
         fam_ids, _ = _family_ids([len(lat) for lat in lattices], EXHAUSTIVE_LIMIT, SAMPLE_SIZE, rng)
-        detail = {"factors": [f.name for f in factors],
-                  "ultrafilter": [list(s) for s in ultra.members_as_sets()]}
+        detail = {"factors": [f.name for f in factors], "ultrafilter": ultra.members_as_sets()}
         _tally(out, detail, (verify_thm2(_family_from_id(fid, factors, lattices), ultra) for fid in fam_ids))
     return out
 
@@ -140,8 +139,7 @@ def sweep_thm3(algebras, *, seed: int = 0) -> SweepResult:
             fam_ids, _ = _family_ids([len(lattice)] * count, EXHAUSTIVE_LIMIT, SAMPLE_SIZE, rng)
             families = [_family_from_id(fid, (algebra,) * count, [lattice] * count) for fid in fam_ids]
             for ultra in enumerate_ultrafilters(count):
-                detail = {"algebra": algebra.name,
-                          "ultrafilter": [list(s) for s in ultra.members_as_sets()]}
+                detail = {"algebra": algebra.name, "ultrafilter": ultra.members_as_sets()}
                 _tally(out, detail, (verify_thm3(algebra, fam.choice, ultra) for fam in families))
     return out
 

@@ -26,6 +26,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .congruence import (
     _as_congruence,
     _congruence_violations,
     _join_stack,
+    _label_rows,
     _least_members,
     _not_a_congruence,
     _row_keys,
@@ -76,6 +78,9 @@ SAMPLE_SIZE = 500
 # Largest temporary, in int64 entries, that theorem 1's batched passes
 # over families build; a single family always goes through whole.
 _BATCH_ENTRIES = 1 << 20
+
+# verify_thm1's checks, each failed by a family whose image cannot be built
+_THM1_CHECKS = ("well-defined-on-classes", "injective-on-classes", "preserves-meets")
 
 # verify_thm2's checks that need the product congruence theta
 _THETA_CHECKS = ("kernel-is-product-congruence", "map-factors-through-transferred-congruence",
@@ -286,16 +291,14 @@ def _definition_mismatch(family: CongruenceFamily, ultra: UltrafilterD, theta: C
     agreeing on every such pair fixes all of theta.  O(|P| * classes).
     """
     prod = theta.algebra
-    cid = np.asarray(theta.class_id, dtype=np.int64)
-    reps = np.flatnonzero(cid == np.arange(cid.size))  # least members
+    reps = np.flatnonzero(theta.labels == np.arange(prod.size))  # least members
     sizes = [f.size for f in prod.factors]
     # masks[k, x]: bit i set iff x_i and reps[k]_i are family[i]-related
     parts = []
     for i, (c, at) in enumerate(zip(family.choice, _coordinate_vectors(sizes, prod.strides, reps))):
-        cls = np.asarray(c.class_id, dtype=np.int64)
-        parts.append((cls[None, :] == cls[at][:, None]).astype(np.int64) << i)
+        parts.append((c.labels[None, :] == c.labels[at][:, None]).astype(np.int64) << i)
     defined = _member_lookup(ultra)[_radix_sums(parts)]
-    related = cid[None, :] == reps[:, None]
+    related = theta.labels[None, :] == reps[:, None]
     wrong = defined != related
     if not wrong.any():
         return None
@@ -331,13 +334,8 @@ def join_of_meets(algebra: Algebra, sigmas, ultra: UltrafilterD) -> Congruence:
     every member's meet.
     """
     sigmas = _validated_sigmas(algebra, sigmas, ultra)
-    meets = []
-    for member in ultra.members:
-        meet = None
-        for k in mask_elements(member):
-            meet = sigmas[k] if meet is None else meet.meet(sigmas[k])
-        meets.append(meet.class_id)
-    least = np.array(meets, dtype=np.int64).ravel()
+    meets = [reduce(Partition.meet, [sigmas[k] for k in mask_elements(member)]) for member in ultra.members]
+    least = np.concatenate([meet.labels for meet in meets])
     elements = np.tile(np.arange(algebra.size, dtype=np.int64), len(meets))
     apart = least != elements
     joined = _union_stack(np.arange(algebra.size, dtype=np.int64)[None], elements[apart], least[apart])
@@ -356,7 +354,7 @@ class _FamilyImages:
     image once as a congruence of the ultraproduct, in the order of the
     row's first family, so a failure names the family that checking one at
     a time would have stopped on.  images holds the distinct images, index
-    maps an image's class_id to its position there, and number maps each
+    maps an image's key to its position there, and number maps each
     family id computed so far to its image's position.
     """
 
@@ -364,7 +362,7 @@ class _FamilyImages:
         self.ultra_alg = ultra_alg
         self.sizes = [len(lat) for lat in lattices]
         self.strides = _strides(self.sizes)
-        self.class_ids = [np.array([c.class_id for c in lat], dtype=np.int64) for lat in lattices]
+        self.lattice_rows = [_label_rows(lat.congruences, lat.algebra.size) for lat in lattices]
         self.images = []
         self.index = {}
         self.number = {}
@@ -399,7 +397,7 @@ class _FamilyImages:
     def _add_batch(self, fids: np.ndarray) -> None:
         product = self.ultra_alg.product
         choice = _coordinate_vectors(self.sizes, self.strides, fids)
-        labels = _least_member_labels(product, [ids[c] for ids, c in zip(self.class_ids, choice)],
+        labels = _least_member_labels(product, [ids[c] for ids, c in zip(self.lattice_rows, choice)],
                                       self.ultra_alg.ultrafilter)
         keys = _row_keys(labels)
         # one row per distinct key: a dict keeps each key where it first came,
@@ -419,7 +417,7 @@ class _FamilyImages:
                 if image_bad[k] is not None:
                     raise _not_a_congruence(self.ultra_alg, image_bad[k])
                 image = Partition(carried[k])
-                num = self.index.setdefault(image.class_id, len(self.images))
+                num = self.index.setdefault(image.key, len(self.images))
                 if num == len(self.images):
                     self.images.append(image)
                 self._by_row[keys[r]] = num
@@ -434,7 +432,9 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     congruence lattices; their almost-everywhere classes, meets and joins
     are read off the ids (_FamilyImages), with no algebra over the family
     space.  Exhaustive over all families when there are at most
-    exhaustive_limit, otherwise a seeded sample.
+    exhaustive_limit, otherwise a seeded sample.  An image that cannot be
+    built fails all three checks with the reason as their witness, and the
+    info that needs the images is None.
     """
     factors = tuple(factors)
     ultra_alg = ultraproduct(factors, ultra)
@@ -448,6 +448,37 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     if not exhaustive:
         # make sure each sampled family can be compared with its class twin
         fam_ids = sorted(set(fam_ids) | set(image_of.class_reps(fam_ids).tolist()))
+    # the families of each almost-everywhere class, by the class's least id
+    by_class: dict = {}
+    for fid, rep in zip(fam_ids, image_of.class_reps(fam_ids).tolist()):
+        by_class.setdefault(rep, []).append(fid)
+    try:
+        checks, found = _thm1_checks(image_of, factors, lattices, fam_ids, by_class, exhaustive, rng, sample_size)
+    except ValidationError as exc:
+        reason = {"reason": str(exc)}
+        checks = [Check(name, False, reason) for name in _THM1_CHECKS]
+        found = dict.fromkeys(("image_size", "joins_preserved", "join_counterexamples"))
+
+    instance = {
+        "factors": [{"name": f.name, "size": f.size} for f in factors],
+        "ultrafilter": ultra.members_as_sets(),
+        "family_count": total,
+        "mode": "exhaustive" if exhaustive else "sampled",
+        "seed": seed,
+    }
+    info = {
+        "ultraproduct_size": ultra_alg.size,
+        "lattice_sizes": sizes,
+        "families_checked": len(fam_ids),
+        "classes_seen": len(by_class),
+        **found,
+    }
+    return VerificationReport("thm1", instance, tuple(checks), info)
+
+
+def _thm1_checks(image_of: _FamilyImages, factors, lattices, fam_ids, by_class, exhaustive, rng, sample_size):
+    """verify_thm1's checks and the info they give; raises ValidationError
+    when a family's image cannot be built (_FamilyImages._add_batch)."""
     image_of.add(fam_ids)
     number = image_of.number
 
@@ -458,9 +489,6 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
 
     # well-definedness: families in one almost-everywhere class share an image
     wd_witness = None
-    by_class: dict = {}
-    for fid, rep in zip(fam_ids, image_of.class_reps(fam_ids).tolist()):
-        by_class.setdefault(rep, []).append(fid)
     for cls, members in by_class.items():
         rep = members[0]
         for fid in members[1:]:
@@ -497,14 +525,15 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     meets = [lat.meet_table() for lat in lattices]
     if exhaustive:
         parts = image_of.images
+        total = len(fam_ids)  # exhaustive: fam_ids holds every family id
         key = np.array([number[fid] for fid in range(total)], dtype=np.int64)
         r = len(parts)
         meet_of_images = np.full((r, r), -1, dtype=np.int64)
         for i in range(r):
             for j in range(i, r):
                 m = parts[i].meet(parts[j])
-                meet_of_images[i, j] = meet_of_images[j, i] = image_of.index.get(m.class_id, -1)
-        fam_meet = _product_tables([("meet", 2)], sizes, [{"meet": m} for m in meets])["meet"]
+                meet_of_images[i, j] = meet_of_images[j, i] = image_of.index.get(m.key, -1)
+        fam_meet = _product_tables([("meet", 2)], image_of.sizes, [{"meet": m} for m in meets])["meet"]
         fam_meet = fam_meet.reshape(total, total)
         # a block of rows s at a time, so that no other array is total**2 long
         block = max(1, _BATCH_ENTRIES // total)
@@ -541,28 +570,17 @@ def verify_thm1(factors, ultra: UltrafilterD, *, seed: int = 0,
     jids = image_of.combine([lat.join_table() for lat in lattices], reps[first], reps[second]).tolist()
     image_of.add(jids)
     # every pair's images joined in one stack, each image picked by its number
-    image_rows = np.array([p.class_id for p in image_of.images], dtype=np.int64)
+    image_rows = _label_rows(image_of.images, image_of.ultra_alg.size)
     left, right, joined = (np.array([number[f] for f in fids], dtype=np.int64)
                            for fids in (reps[first].tolist(), reps[second].tolist(), jids))
     join_bad = int((_join_stack(image_rows[left], image_rows[right]) != image_rows[joined]).any(axis=1).sum())
 
-    instance = {
-        "factors": [{"name": f.name, "size": f.size} for f in factors],
-        "ultrafilter": ultra.members_as_sets(),
-        "family_count": total,
-        "mode": "exhaustive" if exhaustive else "sampled",
-        "seed": seed,
-    }
-    info = {
-        "ultraproduct_size": ultra_alg.size,
-        "lattice_sizes": sizes,
-        "families_checked": len(fam_ids),
-        "classes_seen": len(by_class),
+    found = {
         "image_size": len({number[f] for f in fam_ids}),
         "joins_preserved": join_bad == 0,
         "join_counterexamples": join_bad,
     }
-    return VerificationReport("thm1", instance, tuple(checks), info)
+    return checks, found
 
 
 def _is_isomorphism(source: Algebra, target: Algebra, image: tuple) -> bool:
@@ -614,7 +632,7 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
     if hom_ok:
         # a homomorphism's kernel is a congruence of its source; its class
         # ids come from the image that was checked, not through kernel()
-        Congruence._trusted(prod, tuple(_least_members(cmap.array, cmap.target_size).tolist()))
+        Congruence._trusted(prod, _least_members(cmap.array, cmap.target_size).tobytes())
     surj_ok = cmap.is_surjective()
     checks.append(Check("coordinatewise-map-is-surjective", surj_ok))
 
@@ -630,9 +648,9 @@ def verify_thm2(family: CongruenceFamily, ultra: UltrafilterD) -> VerificationRe
         # theta is neither the kernel recorded above nor a congruence
         return without_theta(_THETA_CHECKS, exc)
     ker_witness = None
-    if ker.class_id != theta.class_id:
+    if ker != theta:
         # row a holds a mismatch iff a's kernel class, theta class and their meet differ in size
-        k, t = (np.asarray(p.class_id, dtype=np.int64) for p in (ker, theta))
+        k, t = ker.labels, theta.labels
         _, joint, both = np.unique(k * k.size + t, return_inverse=True, return_counts=True)
         ksize, tsize = np.bincount(k)[k], np.bincount(t)[t]
         a = int(np.argmin((both[joint] == ksize) & (ksize == tsize)))
@@ -733,7 +751,7 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
     except ValidationError as exc:
         join_witness = {"reason": str(exc)}
     else:
-        if union_part is None or joined.class_id != union_part.class_id:
+        if union_part is None or joined != union_part:
             join_witness = {
                 "join_of_meets": format_partition(joined),
                 "union_of_meets": format_partition(union_part) if union_part else None,
@@ -753,7 +771,7 @@ def verify_thm3(algebra: Algebra, sigmas, ultra: UltrafilterD) -> VerificationRe
     except ValidationError as exc:
         pull_witness = {"reason": str(exc)}
     else:
-        pulled = Partition([transferred.class_id[embed[a]] for a in algebra.elements]).to_matrix()
+        pulled = transferred.to_matrix()[np.ix_(embed.array, embed.array)]
         if not np.array_equal(pulled, restr_matrix):
             a, b = map(int, np.argwhere(pulled != restr_matrix)[0])
             pull_witness = {

@@ -22,6 +22,12 @@ class UpSet:
         self.members = tuple(m for m in range(1 << n) if m & core == core)
 
 
+def recorded(algebra) -> set:
+    """The partitions recorded as congruences on algebra, decoded from their
+    int64 label bytes into class_id tuples."""
+    return {tuple(np.frombuffer(key, dtype=np.int64).tolist()) for key in algebra._congruences}
+
+
 def naive_relates(labels, a, b):
     return labels[a] == labels[b]
 

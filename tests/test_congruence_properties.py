@@ -26,6 +26,7 @@ from oracles import (
     naive_is_congruence,
     naive_join_matrix,
     naive_meet_matrix,
+    recorded,
     relabel,
     relation_matrix,
 )
@@ -301,7 +302,49 @@ def test_validation_agrees_with_the_oracle_on_first_and_repeated_calls(case):
             except ValidationError:
                 accepted = False
             assert accepted == naive_is_congruence(algebra, p.class_id)
-    assert algebra._congruences == {p.class_id for p in parts if naive_is_congruence(algebra, p.class_id)}
+    assert recorded(algebra) == {p.class_id for p in parts if naive_is_congruence(algebra, p.class_id)}
+
+
+HASHABLES = st.one_of(st.integers(-3, 6), st.sampled_from(["a", "b", (0, 1), None, 2.5, True]))
+
+
+@st.composite
+def labellings(draw):
+    """1-8 labels: a list of hashables, or an integer array of some dtype
+    holding arbitrary labels or a least-member labelling already."""
+    kind = draw(st.sampled_from(["hashables", "arbitrary", "canonical"]))
+    if kind == "hashables":
+        return draw(st.lists(HASHABLES, min_size=1, max_size=8))
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64])))
+    low = -3 if dtype.kind == "i" else 0
+    values = draw(st.lists(st.integers(low, 6), min_size=1, max_size=8))
+    if kind == "canonical":
+        values = [values.index(v) for v in values]
+    elif dtype == np.uint64 and draw(st.booleans()):
+        values = [v + 2**63 for v in values]  # labels that an int64 view would read as negative
+    return np.array(values, dtype=dtype)
+
+
+@PROPERTY
+@given(labellings())
+@example([1, True, 1.0, "a", None, (0, 1), "a"])
+@example(np.array([0, 0, 2, 2, 0], dtype=np.int64))
+def test_a_partition_keeps_first_occurrence_labels_in_its_key(labels):
+    values = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    naive = tuple(values.index(v) for v in values)
+    p = Partition(labels)
+    # the caller's labels change before anything is read from p, and p keeps its own
+    if isinstance(labels, np.ndarray):
+        labels[:] = np.arange(len(labels))[::-1]
+    else:
+        labels.reverse()
+    assert p.class_id == naive and all(type(e) is int for e in p.class_id)
+    assert p.labels.dtype == np.int64 and p.labels.tolist() == list(naive)
+    assert type(p.size) is int and p.size == len(naive) and p.key == np.array(naive, dtype=np.int64).tobytes()
+    for same in (Partition(p.labels), Partition(naive), Partition(p)):
+        assert same == p and hash(same) == hash(p)
+    with pytest.raises(ValueError):
+        p.labels[0] = 0
 
 
 @PROPERTY

@@ -25,7 +25,14 @@ from ultracon import algebra, congruence, constructions
 from ultracon.constructions import UltraproductAlgebra
 from ultracon.congruence import parse_partition
 
-from oracles import UpSet, definitional_product_matrix, naive_first_violation, naive_product_relates, relation_matrix
+from oracles import (
+    UpSet,
+    definitional_product_matrix,
+    naive_first_violation,
+    naive_product_relates,
+    recorded,
+    relation_matrix,
+)
 from test_congruence_properties import PROPERTY
 
 
@@ -176,7 +183,7 @@ def test_dstar_trusts_its_labels_without_a_validation_pass(s2, c3, monkeypatch):
     for factors in ([c3, c3], [s2, c3, s2]):
         n = len(factors)
         for filt in [principal_ultrafilter(n, i) for i in range(n)] + [UpSet(n, core) for core in range(1, 1 << n)]:
-            assert dstar(factors, filt).class_id in direct_product(factors)._congruences
+            assert dstar(factors, filt).class_id in recorded(direct_product(factors))
 
 
 @pytest.mark.parametrize("names, filt", [(("C3", "C3"), principal_ultrafilter(2, 0)),
@@ -202,7 +209,7 @@ def test_a_faulted_dstar_labelling_is_validated_and_never_recorded(by_name, name
         UltraproductAlgebra(factors, filt)
     with pytest.raises(ValidationError, match="not a congruence"):
         ultraproduct(factors, filt)
-    for cid in prod._congruences:
+    for cid in recorded(prod):
         assert naive_first_violation(prod, cid) is None
 
 

@@ -29,6 +29,7 @@ from ultracon import (
     principal_ultrafilter,
     product_congruence,
     quotient,
+    sweep_thm1,
     sweep_thm2,
     sweep_thm3,
     ultraproduct,
@@ -40,6 +41,7 @@ from ultracon import (
 from ultracon import congruence, constructions, theorems
 from ultracon.algebra import DEFAULT_SIZE_GUARD, _quotient_cached
 from ultracon.congruence import Congruence, con_as_algebra, con_lattice_of, format_partition, parse_partition
+from ultracon.sweeps import iter_instances
 
 from oracles import (
     UpSet,
@@ -49,6 +51,7 @@ from oracles import (
     naive_first_violation,
     naive_is_homomorphism,
     naive_join_matrix,
+    recorded,
     relation_matrix,
 )
 
@@ -327,29 +330,58 @@ def test_two_classes_that_share_an_image_fail_injectivity_alone(c3, monkeypatch)
     assert witness["shared_image"] == format_partition(shared)
 
 
-def test_a_non_congruence_row_is_reported_for_the_first_family_that_has_it(c3, monkeypatch):
-    # two families of [C3, C3] get rows that are not congruences of the
-    # product; the later family's row sorts first, but the error must name
-    # the earlier one's, where checking one family at a time stops
-    prod_alg = direct_product([c3, c3])
-    earlier = [0, 1, 2, 3, 4, 5, 6, 7, 0]  # merges 0 and 8
-    later = [0, 1, 2, 3, 0, 5, 6, 7, 8]  # merges 0 and 4
-    assert later < earlier
-    witness = naive_first_violation(prod_alg, earlier)
-    assert witness is not None and witness != naive_first_violation(prod_alg, later)
+# rows that are no congruences of C3 x C3: the later family's row sorts
+# first, but an error must name the earlier one's, where checking one
+# family at a time stops
+EARLIER_BAD = [0, 1, 2, 3, 4, 5, 6, 7, 0]  # merges 0 and 8
+LATER_BAD = [0, 1, 2, 3, 0, 5, 6, 7, 8]  # merges 0 and 4
+
+
+def _two_bad_rows(monkeypatch):
+    """Give families 5 and 10 of every batch over a 9-element product the
+    rows EARLIER_BAD and LATER_BAD."""
     real = theorems._least_member_labels
 
     def two_bad_rows(product, class_ids, ultra):
         labels = real(product, class_ids, ultra)
-        labels[5], labels[10] = earlier, later
+        if product.size == 9:
+            labels[5], labels[10] = EARLIER_BAD, LATER_BAD
         return labels
 
     monkeypatch.setattr(theorems, "_least_member_labels", two_bad_rows)
+
+
+def test_a_non_congruence_row_is_reported_for_the_first_family_that_has_it(c3, monkeypatch):
+    prod_alg = direct_product([c3, c3])
+    assert LATER_BAD < EARLIER_BAD
+    witness = naive_first_violation(prod_alg, EARLIER_BAD)
+    assert witness is not None and witness != naive_first_violation(prod_alg, LATER_BAD)
+    _two_bad_rows(monkeypatch)
     sym, pos, a, b, flat = witness
-    with pytest.raises(ValidationError) as error:
-        verify_thm1([c3, c3], principal_ultrafilter(2, 0))
-    assert f"{sym!r} at argument {pos} separates related elements {a}~{b} (argument index {flat})" \
-        in str(error.value)
+    report = verify_thm1([c3, c3], principal_ultrafilter(2, 0))
+    assert [c.name for c in report.checks] == ["well-defined-on-classes", "injective-on-classes", "preserves-meets"]
+    for check in report.checks:
+        assert not check.passed
+        assert f"{sym!r} at argument {pos} separates related elements {a}~{b} (argument index {flat})" \
+            in check.witness["reason"]
+    assert set(report.info) == {"ultraproduct_size", "lattice_sizes", "families_checked", "classes_seen",
+                                "image_size", "joins_preserved", "join_counterexamples"}
+    assert [report.info[k] for k in ("image_size", "joins_preserved", "join_counterexamples")] == [None] * 3
+    assert report.info["families_checked"] == 16 and report.info["classes_seen"] == 4
+    json.loads(report.to_json())
+
+
+def test_a_non_congruence_row_fails_its_instance_and_the_thm1_sweep_goes_on(c3, monkeypatch):
+    # the same two rows on every [C3, C3] instance: the sweep still runs
+    # every instance of the corpus slice and counts those as failed
+    _two_bad_rows(monkeypatch)
+    result = sweep_thm1([c3])
+    bad = [d for d in result.details if not d["passed"]]
+    assert result.instances == len(result.details) == len(list(iter_instances([c3])))
+    assert bad and all(len(d["instance"]["factors"]) == 2 and d["image_size"] is None for d in bad)
+    assert len(result.failures) == len(bad) and not result.passed
+    for failure in result.failures:
+        assert all("not a congruence" in c["witness"]["reason"] for c in failure["checks"])
 
 
 @pytest.mark.parametrize("per_chunk", [1, 5])
@@ -612,7 +644,7 @@ def test_faulted_kernels_and_maps_leave_only_congruences_recorded(c3, by_name, m
     products[id(prod_alg)] = prod_alg
     for prod_alg in products.values():
         assert prod_alg._congruences
-        for cid in prod_alg._congruences:
+        for cid in recorded(prod_alg):
             assert naive_first_violation(prod_alg, cid) is None, (prod_alg.name, cid)
 
 
@@ -631,7 +663,7 @@ def test_a_map_the_homomorphism_check_rejects_records_no_kernel(c3, monkeypatch)
     monkeypatch.setattr(theorems, "coordinatewise_quotient_map", lambda *args: moved)
     checks = {c.name: c.passed for c in verify_thm2(fam, ultra).checks}
     assert not checks["coordinatewise-map-is-homomorphism"]
-    assert ker.class_id not in prod_alg._congruences
+    assert ker.class_id not in recorded(prod_alg)
     with pytest.raises(ValidationError):
         Congruence(prod_alg, ker)
 

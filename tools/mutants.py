@@ -60,8 +60,8 @@ MUTANTS = (
     Mutant("thm2-records-kernel-through-kernel",
            "verify_thm2 records kernel(cmap) instead of the kernel of the map's own image",
            "src/ultracon/theorems.py",
-           "Congruence._trusted(prod, tuple(_least_members(cmap.array, cmap.target_size).tolist()))",
-           "Congruence._trusted(prod, kernel(cmap).class_id)",
+           "Congruence._trusted(prod, _least_members(cmap.array, cmap.target_size).tobytes())",
+           "Congruence._trusted(prod, kernel(cmap).key)",
            ("tests/test_theorems.py::test_faulted_kernels_and_maps_leave_only_congruences_recorded",)),
     Mutant("thm2-records-kernel-without-hom-check",
            "verify_thm2 records the map's kernel before is_homomorphism has passed",
@@ -70,6 +70,19 @@ MUTANTS = (
            "    if True:\n        # a homomorphism's kernel",
            ("tests/test_theorems.py::test_a_map_the_homomorphism_check_rejects_records_no_kernel",
             "tests/test_theorems.py::test_a_product_congruence_that_is_no_congruence_fails_its_checks")),
+    Mutant("memo-hit-by-length",
+           "Congruence skips validation when any recorded key has the partition's length",
+           "src/ultracon/congruence.py",
+           "        if self.key not in algebra._congruences:\n",
+           "        if not any(len(k) == len(self.key) for k in algebra._congruences):\n",
+           ("tests/test_congruence.py::test_recorded_congruences_never_pass_a_non_congruence",)),
+    Mutant("lattice-order-by-key-bytes",
+           "ConLattice orders its congruences by their raw key bytes",
+           "src/ultracon/congruence.py",
+           "        order = np.lexsort((*rows.T[::-1], classes)).tolist()\n",
+           "        order = sorted(range(len(congruences)), key=lambda i: congruences[i].key)\n",
+           ("tests/test_congruence.py::test_con_lattice_canonical_order_and_bounds",
+            "tests/test_congruence.py::test_frozen_congruence_lattices")),
     Mutant("con-as-algebra-joins",
            "con_as_algebra's operation is the congruence join, not the meet",
            "src/ultracon/congruence.py",
